@@ -1,9 +1,9 @@
 //! # reprowd-bench
 //!
 //! The experiment harness. Every figure/claim of the paper maps to one
-//! `harness = false` bench target (see `DESIGN.md` for the E1–E11 index and
-//! `EXPERIMENTS.md` for recorded outputs); three Criterion targets
-//! micro-benchmark the substrates. Run everything with
+//! `harness = false` bench target (E1–E15, indexed in ARCHITECTURE.md's
+//! "Experiment suite"; E13–E15 record their numbers to `BENCH_E*.json`);
+//! three Criterion targets micro-benchmark the substrates. Run everything with
 //! `cargo bench --workspace`, or one experiment with
 //! `cargo bench -p reprowd-bench --bench exp6_crowder_join`.
 //!

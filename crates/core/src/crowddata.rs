@@ -21,7 +21,7 @@
 
 use crate::context::CrowdContext;
 use crate::error::{Error, Result};
-use crate::hash::{hash_value, hex};
+use crate::hash::RowKeyer;
 use crate::presenter::Presenter;
 use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
 use crate::value::{canonical, Value};
@@ -112,6 +112,9 @@ pub struct CrowdData {
     ctx: CrowdContext,
     manifest: Manifest,
     rows: Vec<Row>,
+    /// Keys the rows `data`/`extend_data` add, continuing the duplicate
+    /// count of the rows already present.
+    keyer: RowKeyer,
     /// Whether `data`/`extend_data` ran (an *empty* dataset is legal and
     /// distinct from "step 1 never happened").
     data_set: bool,
@@ -128,6 +131,7 @@ impl CrowdData {
             ctx,
             manifest,
             rows: Vec::new(),
+            keyer: RowKeyer::default(),
             data_set: false,
             presenter: None,
             n_assignments: None,
@@ -142,25 +146,18 @@ impl CrowdData {
     /// Duplicate objects are legal; each occurrence becomes its own row
     /// (and its own task) with a stable `-k` suffix on the content hash.
     pub fn data(mut self, objects: Vec<Value>) -> Result<Self> {
-        self.rows = Self::rows_from_objects(objects);
-        self.data_set = true;
-        Ok(self)
+        self.rows.clear();
+        self.keyer = RowKeyer::default();
+        self.extend_data(objects)
     }
 
     /// Appends objects to the existing rows (Ally's Figure 3 move: extend
     /// the experiment; only the new rows will be crowdsourced).
     pub fn extend_data(mut self, objects: Vec<Value>) -> Result<Self> {
         self.data_set = true;
-        let mut occurrences: HashMap<u64, usize> = HashMap::new();
-        for row in &self.rows {
-            let h = hash_value(&row.object);
-            *occurrences.entry(h).or_insert(0) += 1;
-        }
+        self.rows.reserve(objects.len());
         for object in objects {
-            let h = hash_value(&object);
-            let occ = occurrences.entry(h).or_insert(0);
-            let hash = if *occ == 0 { hex(h) } else { format!("{}-{}", hex(h), *occ) };
-            *occ += 1;
+            let hash = self.keyer.key(&object);
             self.rows.push(Row {
                 index: self.rows.len(),
                 hash,
@@ -171,21 +168,6 @@ impl CrowdData {
             });
         }
         Ok(self)
-    }
-
-    fn rows_from_objects(objects: Vec<Value>) -> Vec<Row> {
-        let mut occurrences: HashMap<u64, usize> = HashMap::new();
-        objects
-            .into_iter()
-            .enumerate()
-            .map(|(index, object)| {
-                let h = hash_value(&object);
-                let occ = occurrences.entry(h).or_insert(0);
-                let hash = if *occ == 0 { hex(h) } else { format!("{}-{}", hex(h), *occ) };
-                *occ += 1;
-                Row { index, hash, object, task: None, result: None, derived: BTreeMap::new() }
-            })
-            .collect()
     }
 
     // ---------------------------------------------------------- step 2

@@ -7,6 +7,7 @@
 //! silently invalidate every cache.
 
 use crate::value::{canonical, Value};
+use std::collections::HashMap;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -29,6 +30,26 @@ pub fn hash_value(value: &Value) -> u64 {
 /// Fixed-width lowercase hex of a hash (sortable, filename-safe).
 pub fn hex(h: u64) -> String {
     format!("{h:016x}")
+}
+
+/// Assigns rows the row part of their cache key: the hex content hash of
+/// the object, suffixed `-k` for its k-th duplicate occurrence. The
+/// classic `data`/`extend_data` steps and the streaming runner share this
+/// one scheme, so both paths key — and reuse — the same cells.
+#[derive(Debug, Default)]
+pub(crate) struct RowKeyer {
+    occurrences: HashMap<u64, usize>,
+}
+
+impl RowKeyer {
+    /// The key of the next row holding `object`.
+    pub(crate) fn key(&mut self, object: &Value) -> String {
+        let h = hash_value(object);
+        let occ = self.occurrences.entry(h).or_insert(0);
+        let key = if *occ == 0 { hex(h) } else { format!("{}-{}", hex(h), *occ) };
+        *occ += 1;
+        key
+    }
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@
 use crate::context::CrowdContext;
 use crate::crowddata::RunStats;
 use crate::error::{Error, Result};
-use crate::hash::{hash_value, hex};
+use crate::hash::RowKeyer;
 use crate::presenter::Presenter;
 use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
 use crate::value::{canonical, Value};
@@ -80,7 +80,8 @@ enum Msg<J, T> {
 ///   ascending `k`.
 ///
 /// On the first error (by job order): jobs before it are committed, the
-/// gate is closed from that job's slots, and that error is returned.
+/// gate is closed from that job's slots, and that error is returned. A
+/// panic in `source`, `work`, or `commit` is such an error, at every depth.
 pub(crate) fn run_windowed<J, T>(
     depth: usize,
     slots_per_job: u64,
@@ -93,6 +94,9 @@ where
     J: Send,
     T: Send,
 {
+    let mut source = move |k: usize| caught("source", k, || source(k));
+    let work = move |k: usize, job: &mut J| caught("job", k, || work(k, job));
+    let mut commit = move |k: usize, job: J, out: T| caught("commit", k, || commit(k, job, out));
     if depth <= 1 {
         // The sequential engine, verbatim: claim, work, commit, repeat.
         let mut k = 0usize;
@@ -213,6 +217,20 @@ where
             Some((_, e)) => Err(e),
             None => Ok(()),
         }
+    })
+}
+
+/// Runs one pipeline callback, turning a panic into an error. Uncaught, a
+/// panicking job never commits, so at depth > 1 the other workers stay
+/// parked on the claim backpressure and the run hangs instead of failing.
+fn caught<R>(what: &str, k: usize, f: impl FnOnce() -> Result<R>) -> Result<R> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        Err(Error::State(format!("pipeline {what} {k} panicked: {msg}")))
     })
 }
 
@@ -408,7 +426,7 @@ pub fn run_stream(
 
     let mut report = StreamReport::default();
     let mut iter = candidates;
-    let mut occurrences: HashMap<u64, usize> = HashMap::new();
+    let mut keyer = RowKeyer::default();
     let mut next_index = 0usize;
 
     let name = spec.experiment.clone();
@@ -419,19 +437,14 @@ pub fn run_stream(
         depth,
         4,
         &gate,
-        // Source: pull one chunk of candidates, assigning keys with the
-        // same content-hash + duplicate-suffix scheme as the classic
+        // Source: pull one chunk of candidates, keyed like the classic
         // `data(...)` step (streamed and classic runs share the cache).
         |_k| {
             let mut rows = Vec::new();
             for object in iter.by_ref().take(batch_size) {
-                let h = hash_value(&object);
-                let occ = occurrences.entry(h).or_insert(0);
-                let hash = if *occ == 0 { hex(h) } else { format!("{}-{}", hex(h), *occ) };
-                *occ += 1;
                 rows.push(StreamRow {
                     index: next_index,
-                    key: ExperimentStore::row_key(&name, &fp, &hash),
+                    key: ExperimentStore::row_key(&name, &fp, &keyer.key(&object)),
                     object,
                     cached_result: None,
                     task: None,
@@ -758,6 +771,59 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("the real one"), "got: {err}");
+    }
+
+    /// Runs `f` on a helper thread, failing the test if it has not
+    /// returned within 10 s instead of hanging the suite.
+    fn within_timeout<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the pipeline hung (or unwound) instead of returning an error");
+        helper.join().expect("the helper thread finished after sending");
+        out
+    }
+
+    #[test]
+    fn a_panicking_source_job_or_commit_is_an_error_not_a_hang() {
+        for depth in [1usize, 2, 4, 8] {
+            for culprit in ["source", "job", "commit"] {
+                let (committed, err) = within_timeout(move || {
+                    let gate = IssueGate::new();
+                    let mut committed = Vec::new();
+                    let err = run_windowed(
+                        depth,
+                        1,
+                        &gate,
+                        |k| {
+                            assert!(!(culprit == "source" && k == 2), "source 2 exploded");
+                            Ok((k < 100).then_some(k))
+                        },
+                        |k, _job: &mut usize| {
+                            // Before its turn, so later jobs queue behind it.
+                            assert!(!(culprit == "job" && k == 2), "job 2 exploded");
+                            gate.turn(k as u64)?.complete();
+                            Ok(())
+                        },
+                        |k, _job, _out| {
+                            assert!(!(culprit == "commit" && k == 2), "commit 2 exploded");
+                            committed.push(k);
+                            Ok(())
+                        },
+                    )
+                    .unwrap_err();
+                    (committed, err.to_string())
+                });
+                assert!(
+                    err.contains(&format!("{culprit} 2 panicked: {culprit} 2 exploded")),
+                    "depth {depth}: {err}"
+                );
+                assert_eq!(committed, vec![0, 1], "depth {depth}, {culprit}: committed prefix");
+            }
+        }
     }
 
     #[test]

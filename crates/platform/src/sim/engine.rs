@@ -1,157 +1,275 @@
-//! The sharded discrete-event simulation engine behind [`SimPlatform`].
+//! The discrete-event simulation engine behind [`SimPlatform`].
 //!
-//! The world is partitioned into `shard_count` independent `Shard`s:
-//! tasks and workers are assigned to shards by hashing their ids, and each
-//! shard owns its own open-task queue, availability heap, clock, and RNG
-//! (seeded from `(seed, shard_index)`). Shards share nothing, so
-//! [`run_until_complete`](crate::CrowdPlatform::run_until_complete) drives
-//! them from one thread per shard while the result stays **bit-for-bit
-//! deterministic for a fixed `(seed, shard_count)`** — no event on shard A
-//! can observe shard B, so thread scheduling cannot leak into the outcome.
+//! One simulated world — projects, id counters, tasks, runs, the open-task
+//! queue, the worker availability heap, the virtual clock, and the RNG —
+//! sits behind one lock. The RNG is seeded with the configured seed, so the
+//! seed alone is the reproducibility key: the same seed and the same call
+//! sequence give a bit-for-bit identical world (pinned by
+//! `tests/golden_engine.rs`). Every event runs on the calling thread; the
+//! engine spawns none.
 //!
-//! `shard_count = 1` (the default) reproduces the pre-shard engine exactly:
-//! shard 0 inherits the root seed unchanged, every task and worker lands on
-//! it, and the per-shard event loop performs the same RNG draws in the same
-//! order (pinned by `tests/golden_engine.rs`). Different shard counts are
-//! *different worlds* — partitioning changes which workers can meet which
-//! tasks — but each is equally reproducible.
+//! The matching hot path is O(1) amortized per event:
 //!
-//! **Virtual time is shard-local.** Each shard's clock advances only with
-//! its own events, so with `shard_count > 1` timestamps are ordered *per
-//! task* (`published_at ≤ assigned_at < submitted_at`, all stamped by the
-//! task's home shard) but not across shards: a task published onto an idle
-//! shard can carry a smaller `published_at` than an earlier task — or the
-//! project's `created_at`, which is stamped from the cross-shard maximum
-//! that [`now`](crate::CrowdPlatform::now) reports. Deriving a global
-//! event order from timestamps is only meaningful at `shard_count = 1`;
-//! coupling the clocks would make one shard's timestamps depend on another
-//! shard's progress, which is exactly the cross-shard dependence the
-//! determinism contract forbids.
+//! * `open` is an **append-only queue with tombstones**: completing a task
+//!   nulls its slot instead of shifting the queue.
+//! * `open_head` lazily skips the tombstoned prefix, so the oldest open
+//!   task is found without scanning.
+//! * each worker keeps a **monotone cursor** into `open`: every slot before
+//!   it is *permanently* ineligible for that worker (tombstoned, or already
+//!   answered by them), so an eligibility scan resumes where it left off
+//!   instead of rescanning the whole open list per event.
+//! * worker profiles and per-task answer models are indexed up front
+//!   (`HashMap` lookups instead of an O(pool) scan and a per-event payload
+//!   parse).
 
 use crate::error::{Error, Result};
-use crate::platform::CrowdPlatform;
-use crate::sim::shard::Shard;
-use crate::sim::worker::WorkerPool;
+use crate::platform::{still_open, CrowdPlatform};
+use crate::sim::answer::AnswerModel;
+use crate::sim::latency::lognormal;
+use crate::sim::worker::{WorkerPool, WorkerProfile};
 use crate::types::{
-    Project, ProjectId, SimTime, Task, TaskId, TaskRun, TaskSpec, TaskStatus,
+    Project, ProjectId, SimTime, Task, TaskId, TaskRun, TaskSpec, TaskStatus, WorkerId,
 };
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of a simulated platform.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The worker roster.
     pub pool: WorkerPool,
-    /// RNG seed; with the same seed, shard count, and call sequence, the
-    /// simulation is bit-for-bit reproducible.
+    /// RNG seed; with the same seed and call sequence, the simulation is
+    /// bit-for-bit reproducible.
     pub seed: u64,
-    /// Number of independent shards (must be ≥ 1). Tasks and workers are
-    /// partitioned across shards by id hash; `1` reproduces the unsharded
-    /// engine exactly. Runs with different shard counts are different (but
-    /// equally deterministic) worlds.
-    pub shards: usize,
 }
 
 impl SimConfig {
-    /// A single-shard config — the classic engine.
+    /// A config over `pool`, seeded with `seed`.
     pub fn new(pool: WorkerPool, seed: u64) -> Self {
-        SimConfig { pool, seed, shards: 1 }
-    }
-
-    /// Sets the shard count (builder style).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
+        SimConfig { pool, seed }
     }
 }
 
-/// Global (cross-shard) bookkeeping: projects and id allocation. Held for
-/// O(1) critical sections only — never while an event is processed.
-struct Registry {
-    projects: std::collections::HashMap<ProjectId, Project>,
+/// Everything an event or a platform call touches.
+struct World {
+    projects: HashMap<ProjectId, Project>,
     next_project: ProjectId,
     next_task: TaskId,
+    /// Published tasks, by id.
+    tasks: HashMap<TaskId, Task>,
+    /// Runs collected per task.
+    runs: HashMap<TaskId, Vec<TaskRun>>,
+    /// Workers who already *submitted* a run for the task (the platform
+    /// invariant: at most one run per worker per task).
+    answered_by: HashMap<TaskId, HashSet<WorkerId>>,
+    /// Answer model parsed once at publish time.
+    models: HashMap<TaskId, Option<AnswerModel>>,
+    /// Open tasks in publish order; completion tombstones the slot.
+    open: Vec<Option<TaskId>>,
+    /// First possibly-live slot of `open`, advanced lazily past tombstones.
+    open_head: usize,
+    /// Live (non-tombstoned) entries in `open`.
+    open_live: usize,
+    /// Workers ready to pick up tasks, keyed by availability time.
+    available: BinaryHeap<Reverse<(SimTime, WorkerId)>>,
+    /// Workers parked because no eligible task existed when they came up.
+    parked: Vec<(WorkerId, SimTime)>,
+    /// Per-worker resume point into `open`; monotone, never rewinds.
+    cursor: HashMap<WorkerId, usize>,
+    /// The roster, indexed for O(1) profile lookup.
+    profiles: HashMap<WorkerId, WorkerProfile>,
+    /// The virtual clock (simulated milliseconds).
+    clock: SimTime,
+    rng: StdRng,
+    /// Events processed (submitted runs *and* abandonments).
+    events: u64,
+}
+
+impl World {
+    /// An empty world over `workers` (in roster order — their position is
+    /// the initial availability stagger).
+    fn new(workers: &[WorkerProfile], seed: u64) -> Self {
+        let mut available = BinaryHeap::with_capacity(workers.len());
+        let mut profiles = HashMap::with_capacity(workers.len());
+        for (i, w) in workers.iter().enumerate() {
+            // Tiny stagger so initial pickup order interleaves naturally.
+            available.push(Reverse((i as SimTime, w.id)));
+            profiles.insert(w.id, w.clone());
+        }
+        World {
+            projects: HashMap::new(),
+            next_project: 1,
+            next_task: 1,
+            tasks: HashMap::new(),
+            runs: HashMap::new(),
+            answered_by: HashMap::new(),
+            models: HashMap::new(),
+            open: Vec::new(),
+            open_head: 0,
+            open_live: 0,
+            available,
+            parked: Vec::new(),
+            cursor: HashMap::new(),
+            profiles,
+            clock: 0,
+            rng: StdRng::seed_from_u64(seed),
+            events: 0,
+        }
+    }
+
+    /// Allocates the next task id, stamps the task with the current clock,
+    /// queues it, and wakes the parked workers (new work may suit them).
+    fn place(&mut self, project: ProjectId, spec: TaskSpec) -> Task {
+        let id = self.next_task;
+        self.next_task += 1;
+        let task = Task {
+            id,
+            project_id: project,
+            payload: spec.payload,
+            n_assignments: spec.n_assignments,
+            published_at: self.clock,
+            status: TaskStatus::Open,
+        };
+        self.models.insert(id, AnswerModel::extract(&task.payload));
+        self.tasks.insert(id, task.clone());
+        self.runs.insert(id, Vec::new());
+        self.answered_by.insert(id, HashSet::new());
+        self.open.push(Some(id));
+        self.open_live += 1;
+        self.wake_parked();
+        task
+    }
+
+    /// Re-queues every parked worker (new work may have arrived, or a
+    /// completion may have freed up an eligible slot).
+    fn wake_parked(&mut self) {
+        let clock = self.clock;
+        for (w, at) in std::mem::take(&mut self.parked) {
+            self.available.push(Reverse((at.max(clock), w)));
+        }
+    }
+
+    fn are_complete(&self, tasks: &[TaskId]) -> Vec<Option<bool>> {
+        tasks
+            .iter()
+            .map(|t| self.tasks.get(t).map(|task| task.status == TaskStatus::Completed))
+            .collect()
+    }
+
+    /// Processes one event: pops the earliest-available worker, matches
+    /// them with the oldest open task they have not answered, and samples
+    /// their think-time and answer (or abandonment). Returns `false` when
+    /// no further progress is possible.
+    fn step(&mut self) -> Result<bool> {
+        if self.open_live == 0 {
+            return Ok(false);
+        }
+        // Pop workers until one can be matched with an open task.
+        while let Some(Reverse((avail_at, worker_id))) = self.available.pop() {
+            // Advance the global head past the tombstoned prefix (paid once
+            // per completed task over the world's whole lifetime).
+            while self.open.get(self.open_head) == Some(&None) {
+                self.open_head += 1;
+            }
+            // Resume this worker's scan where it permanently left off.
+            let mut pos =
+                self.cursor.get(&worker_id).copied().unwrap_or(0).max(self.open_head);
+            let mut found = None;
+            while pos < self.open.len() {
+                match self.open[pos] {
+                    // Tombstone: permanently ineligible for everyone.
+                    None => pos += 1,
+                    Some(tid) => {
+                        if self.answered_by[&tid].contains(&worker_id) {
+                            // Answered tasks never reopen: skip permanently.
+                            pos += 1;
+                        } else {
+                            found = Some((pos, tid));
+                            break;
+                        }
+                    }
+                }
+            }
+            // `pos` only ever advanced past permanently-ineligible slots
+            // (or stopped on the candidate), so the cursor stays sound even
+            // if the worker abandons the candidate below.
+            self.cursor.insert(worker_id, pos);
+            let Some((slot, task_id)) = found else {
+                self.parked.push((worker_id, avail_at));
+                continue;
+            };
+
+            self.clock = self.clock.max(avail_at);
+            let assigned_at = self.clock;
+            let profile = &self.profiles[&worker_id];
+            let think_ms =
+                lognormal(&mut self.rng, profile.speed_median_ms.max(1.0), profile.speed_sigma)
+                    .ceil()
+                    .max(1.0) as SimTime;
+            let submitted_at = assigned_at + think_ms;
+
+            let abandons = self.rng.gen::<f64>() < profile.abandon_p;
+            self.events += 1;
+            if abandons {
+                // The worker wastes the time but submits nothing; the slot
+                // stays open and the worker may retry later.
+                self.available.push(Reverse((submitted_at, worker_id)));
+                return Ok(true);
+            }
+
+            let task = self.tasks.get(&task_id).ok_or(Error::UnknownTask(task_id))?;
+            let n_assignments = task.n_assignments;
+            let answer = match &self.models[&task_id] {
+                Some(model) => model.sample(profile, &mut self.rng),
+                // Payloads without a model get an opaque echo answer, so
+                // plumbing tests don't need to construct models.
+                None => serde_json::json!({ "echo": task.payload }),
+            };
+            let runs = self.runs.get_mut(&task_id).expect("runs exist");
+            runs.push(TaskRun { task_id, worker_id, answer, assigned_at, submitted_at });
+            let done = runs.len() as u32 >= n_assignments;
+            self.answered_by.get_mut(&task_id).expect("set exists").insert(worker_id);
+
+            if done {
+                self.tasks.get_mut(&task_id).expect("task exists").status =
+                    TaskStatus::Completed;
+                self.open[slot] = None;
+                self.open_live -= 1;
+                // Task list changed: parked workers may now have work.
+                self.wake_parked();
+            }
+            self.available.push(Reverse((submitted_at, worker_id)));
+            return Ok(true);
+        }
+        // Every worker is parked: redundancy cannot be met.
+        Ok(false)
+    }
 }
 
 /// The simulated crowdsourcing platform.
 pub struct SimPlatform {
-    registry: Mutex<Registry>,
-    shards: Vec<Mutex<Shard>>,
+    world: Mutex<World>,
     pool: WorkerPool,
-    /// Workers rostered per shard — immutable after construction, cached
-    /// so publish validation never takes a shard lock.
-    shard_capacity: Vec<usize>,
     calls: AtomicU64,
-    /// Round-robin position of the next [`step`](CrowdPlatform::step).
-    step_cursor: AtomicUsize,
-}
-
-/// SplitMix64 finalizer: the id → shard hash. Sequential ids (how the
-/// platform allocates them) spread uniformly instead of striping.
-fn mix(id: u64) -> u64 {
-    let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl SimPlatform {
-    /// Creates a platform with the given worker pool, seed, and shard
-    /// count.
-    ///
-    /// # Panics
-    /// Panics if `config.shards == 0` — a world with no shards cannot hold
-    /// tasks or workers.
+    /// Creates a platform with the given worker pool and seed.
     pub fn new(config: SimConfig) -> Self {
-        assert!(config.shards >= 1, "shard count must be at least 1");
-        let n = config.shards;
-        // Partition the roster: shard membership depends only on the
-        // worker id and the shard count, never on roster order.
-        let mut rosters: Vec<Vec<_>> = vec![Vec::new(); n];
-        for w in &config.pool.workers {
-            rosters[Self::shard_of(w.id, n)].push(w.clone());
-        }
-        let shard_capacity: Vec<usize> = rosters.iter().map(Vec::len).collect();
-        let shards = rosters
-            .into_iter()
-            .enumerate()
-            // Shard 0 inherits the root seed unchanged so `shards = 1`
-            // reproduces the pre-shard engine bit-for-bit; the golden-ratio
-            // multiplier decorrelates the other shards' streams.
-            .map(|(i, workers)| {
-                let shard_seed =
-                    config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                Mutex::new(Shard::new(workers, shard_seed))
-            })
-            .collect();
         SimPlatform {
-            registry: Mutex::new(Registry {
-                projects: std::collections::HashMap::new(),
-                next_project: 1,
-                next_task: 1,
-            }),
-            shards,
+            world: Mutex::new(World::new(&config.pool.workers, config.seed)),
             pool: config.pool,
-            shard_capacity,
             calls: AtomicU64::new(0),
-            step_cursor: AtomicUsize::new(0),
         }
     }
 
-    /// Convenience constructor: `n` identical workers of `ability`, one
-    /// shard.
+    /// Convenience constructor: `n` identical workers of `ability`.
     pub fn quick(n_workers: usize, ability: f64, seed: u64) -> Self {
         SimPlatform::new(SimConfig::new(WorkerPool::uniform(n_workers, ability), seed))
-    }
-
-    /// Convenience constructor: `n` identical workers of `ability` spread
-    /// over `shards` shards.
-    pub fn sharded(n_workers: usize, ability: f64, seed: u64, shards: usize) -> Self {
-        SimPlatform::new(
-            SimConfig::new(WorkerPool::uniform(n_workers, ability), seed)
-                .with_shards(shards),
-        )
     }
 
     /// The roster this platform simulates.
@@ -159,82 +277,17 @@ impl SimPlatform {
         &self.pool
     }
 
-    /// Number of shards the world is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Workers rostered on each shard (tasks hashed to a shard can only be
-    /// answered by that shard's workers, so a task's `n_assignments` must
-    /// fit its shard's roster).
-    pub fn shard_worker_counts(&self) -> &[usize] {
-        &self.shard_capacity
-    }
-
-    /// Total events processed so far (submitted runs and abandonments,
-    /// summed over shards) — the E13 throughput metric.
+    /// Total events processed so far (submitted runs and abandonments) —
+    /// the E13 throughput metric.
     pub fn events(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().events).sum()
-    }
-
-    /// Drives every shard to quiescence — one thread per shard when the
-    /// world is sharded. Equivalent to calling
-    /// [`step`](CrowdPlatform::step) until it returns `false`, but without
-    /// the cross-shard round-robin, so each shard's hot loop runs
-    /// lock-held and cache-local.
-    pub fn drain(&self) -> Result<()> {
-        if self.shards.len() == 1 {
-            let mut s = self.shards[0].lock();
-            while s.step()? {}
-            return Ok(());
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|m| {
-                    scope.spawn(move || -> Result<()> {
-                        let mut s = m.lock();
-                        while s.step()? {}
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("shard thread never panics")?;
-            }
-            Ok(())
-        })
-    }
-
-    /// The shard a task or worker id is assigned to under `shard_count`
-    /// shards. Pure and stable across runs, so clients can size rosters
-    /// per shard (see `CrowdContext::in_memory_sim_with` in the core
-    /// crate, which picks worker ids so every shard gets the same
-    /// headcount).
-    pub fn shard_index(id: u64, shard_count: usize) -> usize {
-        if shard_count == 1 {
-            0
-        } else {
-            (mix(id) % shard_count as u64) as usize
-        }
-    }
-
-    fn shard_of(id: u64, n: usize) -> usize {
-        Self::shard_index(id, n)
-    }
-
-    /// The shard owning task or worker `id`.
-    fn home(&self, id: u64) -> &Mutex<Shard> {
-        &self.shards[Self::shard_of(id, self.shards.len())]
+        self.world.lock().events
     }
 
     fn bump(&self) {
         self.calls.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Validates what can be checked without knowing the task's id (the
-    /// same checks, in the same order, as the pre-shard engine).
+    /// Validates a spec against the roster before any state is touched.
     fn validate_spec(&self, spec: &TaskSpec) -> Result<()> {
         if spec.n_assignments == 0 {
             return Err(Error::InvalidRequest("n_assignments must be positive".into()));
@@ -248,49 +301,6 @@ impl SimPlatform {
         }
         Ok(())
     }
-
-    /// Validates that the shard the task id hashes to can meet the spec's
-    /// redundancy — distinct workers cannot cross shards.
-    fn validate_placement(&self, spec: &TaskSpec, task_id: TaskId) -> Result<()> {
-        let n = self.shards.len();
-        if n > 1 {
-            let shard = Self::shard_of(task_id, n);
-            let capacity = self.shard_capacity[shard];
-            if spec.n_assignments as usize > capacity {
-                return Err(Error::InvalidRequest(format!(
-                    "n_assignments {} exceeds shard {shard}'s worker count {capacity} \
-                     (shard_count={n}; distinct workers cannot cross shards)",
-                    spec.n_assignments
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Stamps and registers a task on its home shard (which also wakes the
-    /// shard's parked workers). Takes the shard lock; callers holding the
-    /// registry are fine (registry → shard is the global lock order), but
-    /// no shard lock may be held.
-    fn place_task(&self, id: TaskId, project: ProjectId, spec: TaskSpec) -> Task {
-        let mut shard = self.home(id).lock();
-        let task = Task {
-            id,
-            project_id: project,
-            payload: spec.payload,
-            n_assignments: spec.n_assignments,
-            published_at: shard.clock,
-            status: TaskStatus::Open,
-        };
-        shard.insert_task(task.clone());
-        // New work: parked workers become eligible again.
-        shard.wake_parked();
-        task
-    }
-
-    #[cfg(test)]
-    fn total_tasks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().tasks.len()).sum()
-    }
 }
 
 impl CrowdPlatform for SimPlatform {
@@ -300,33 +310,26 @@ impl CrowdPlatform for SimPlatform {
 
     fn create_project(&self, name: &str) -> Result<ProjectId> {
         self.bump();
-        let created_at = self.now();
-        let mut r = self.registry.lock();
-        let id = r.next_project;
-        r.next_project += 1;
-        r.projects.insert(id, Project { id, name: name.to_string(), created_at });
+        let mut w = self.world.lock();
+        let id = w.next_project;
+        w.next_project += 1;
+        let created_at = w.clock;
+        w.projects.insert(id, Project { id, name: name.to_string(), created_at });
         Ok(id)
     }
 
     fn project(&self, id: ProjectId) -> Result<Project> {
-        self.registry.lock().projects.get(&id).cloned().ok_or(Error::UnknownProject(id))
+        self.world.lock().projects.get(&id).cloned().ok_or(Error::UnknownProject(id))
     }
 
     fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
         self.bump();
         self.validate_spec(&spec)?;
-        let mut r = self.registry.lock();
-        if !r.projects.contains_key(&project) {
+        let mut w = self.world.lock();
+        if !w.projects.contains_key(&project) {
             return Err(Error::UnknownProject(project));
         }
-        self.validate_placement(&spec, r.next_task)?;
-        let id = r.next_task;
-        r.next_task += 1;
-        // The registry stays held through placement (registry → shard lock
-        // order) so concurrent publishers cannot interleave between id
-        // allocation and queue insertion: each shard's open queue stays in
-        // ascending-id (publish) order.
-        Ok(self.place_task(id, project, spec))
+        Ok(w.place(project, spec))
     }
 
     /// Native bulk publish: one API call, atomic.
@@ -345,130 +348,65 @@ impl CrowdPlatform for SimPlatform {
         for spec in &specs {
             self.validate_spec(spec)?;
         }
-        let mut r = self.registry.lock();
-        if !r.projects.contains_key(&project) {
+        let mut w = self.world.lock();
+        if !w.projects.contains_key(&project) {
             return Err(Error::UnknownProject(project));
         }
-        let base = r.next_task;
-        for (j, spec) in specs.iter().enumerate() {
-            self.validate_placement(spec, base + j as TaskId)?;
-        }
-        r.next_task += specs.len() as TaskId;
-        // Atomicity: every shard lock is held (in index order, with the
-        // registry still held) while the batch lands, so no reader or
-        // concurrent publisher ever observes a partial batch — the same
-        // guarantee the pre-shard engine's single state lock gave.
-        let n = self.shards.len();
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        Ok(specs
-            .into_iter()
-            .enumerate()
-            .map(|(j, spec)| {
-                let id = base + j as TaskId;
-                let shard = &mut guards[Self::shard_of(id, n)];
-                let task = Task {
-                    id,
-                    project_id: project,
-                    payload: spec.payload,
-                    n_assignments: spec.n_assignments,
-                    published_at: shard.clock,
-                    status: TaskStatus::Open,
-                };
-                shard.insert_task(task.clone());
-                // New work: parked workers become eligible again.
-                shard.wake_parked();
-                task
-            })
-            .collect())
+        Ok(specs.into_iter().map(|spec| w.place(project, spec)).collect())
     }
 
     fn task(&self, id: TaskId) -> Result<Task> {
         self.bump();
-        self.home(id).lock().tasks.get(&id).cloned().ok_or(Error::UnknownTask(id))
+        self.world.lock().tasks.get(&id).cloned().ok_or(Error::UnknownTask(id))
     }
 
     fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
         self.bump();
-        self.home(task).lock().runs.get(&task).cloned().ok_or(Error::UnknownTask(task))
+        self.world.lock().runs.get(&task).cloned().ok_or(Error::UnknownTask(task))
     }
 
     /// Native bulk fetch: one API call serving every task from a single
-    /// consistent snapshot (every shard lock is held for the duration). An
-    /// unknown id fails the whole call.
+    /// consistent snapshot. An unknown id fails the whole call.
     fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
         if tasks.is_empty() {
             return Ok(Vec::new());
         }
         self.bump();
-        let n = self.shards.len();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        tasks
-            .iter()
-            .map(|&t| {
-                guards[Self::shard_of(t, n)]
-                    .runs
-                    .get(&t)
-                    .cloned()
-                    .ok_or(Error::UnknownTask(t))
-            })
-            .collect()
+        let w = self.world.lock();
+        tasks.iter().map(|&t| w.runs.get(&t).cloned().ok_or(Error::UnknownTask(t))).collect()
     }
 
     /// Status probes are **free** — no API-call bump — on every in-process
     /// platform; see the trait-level contract on
     /// [`is_complete`](CrowdPlatform::is_complete).
     fn is_complete(&self, task: TaskId) -> Result<bool> {
-        let shard = self.home(task).lock();
-        let t = shard.tasks.get(&task).ok_or(Error::UnknownTask(task))?;
+        let w = self.world.lock();
+        let t = w.tasks.get(&task).ok_or(Error::UnknownTask(task))?;
         Ok(t.status == TaskStatus::Completed)
     }
 
-    /// Native bulk status probe: one consistent snapshot across every
-    /// shard. Free, like [`is_complete`](CrowdPlatform::is_complete).
+    /// Native bulk status probe: one consistent snapshot. Free, like
+    /// [`is_complete`](CrowdPlatform::is_complete).
     fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
-        let n = self.shards.len();
-        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        Ok(tasks
-            .iter()
-            .map(|&t| {
-                guards[Self::shard_of(t, n)]
-                    .tasks
-                    .get(&t)
-                    .map(|task| task.status == TaskStatus::Completed)
-            })
-            .collect())
+        Ok(self.world.lock().are_complete(tasks))
     }
 
-    /// One event on one shard, rotating round-robin across shards so
-    /// single-stepped progress stays fair and deterministic. Prefer
-    /// [`run_until_complete`](CrowdPlatform::run_until_complete) (or
-    /// [`SimPlatform::drain`]) to drive big worlds — it parallelizes over
-    /// shards instead of rotating.
     fn step(&self) -> Result<bool> {
-        let n = self.shards.len();
-        let start = self.step_cursor.load(Ordering::Relaxed);
-        for k in 0..n {
-            let i = (start + k) % n;
-            if self.shards[i].lock().step()? {
-                self.step_cursor.store((i + 1) % n, Ordering::Relaxed);
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        self.world.lock().step()
     }
 
-    /// Drives all shards to quiescence in parallel (one thread per shard),
-    /// then checks the listed tasks — replacing the trait default's
-    /// step-by-step rotation with the sharded fast path. Like the default,
-    /// draining may progress unlisted open tasks; already-completed tasks
-    /// never change. Already-satisfied (or unknown) task lists return
-    /// before any simulation runs.
+    /// The trait default's drain-then-check, under one lock acquisition
+    /// instead of one per event. Like the default, draining may progress
+    /// unlisted open tasks; already-completed tasks never change.
+    /// Already-satisfied (or unknown) task lists return before any
+    /// simulation runs.
     fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
-        if crate::platform::still_open(tasks, &self.are_complete(tasks)?)? == 0 {
+        let mut w = self.world.lock();
+        if still_open(tasks, &w.are_complete(tasks))? == 0 {
             return Ok(());
         }
-        self.drain()?;
-        let open = crate::platform::still_open(tasks, &self.are_complete(tasks)?)?;
+        while w.step()? {}
+        let open = still_open(tasks, &w.are_complete(tasks))?;
         if open > 0 {
             return Err(Error::Starved(format!(
                 "no further progress possible with {open} tasks still open"
@@ -481,18 +419,14 @@ impl CrowdPlatform for SimPlatform {
         self.calls.load(Ordering::Relaxed)
     }
 
-    /// The most advanced shard clock (shards tick independently).
     fn now(&self) -> SimTime {
-        self.shards.iter().map(|s| s.lock().clock).max().unwrap_or(0)
+        self.world.lock().clock
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::answer::AnswerModel;
-    use crate::types::WorkerId;
-    use std::collections::HashSet;
 
     fn label_spec(truth: usize, n: u32) -> TaskSpec {
         let model = AnswerModel::Label {
@@ -604,7 +538,7 @@ mod tests {
         let pool = WorkerPool::new(
             (1..=3u64)
                 .map(|id| {
-                    let mut w = crate::sim::worker::WorkerProfile::with_ability(id, 0.9);
+                    let mut w = WorkerProfile::with_ability(id, 0.9);
                     w.abandon_p = 0.4;
                     w
                 })
@@ -675,7 +609,7 @@ mod tests {
         let mut specs: Vec<TaskSpec> = (0..3).map(|i| label_spec(i % 2, 2)).collect();
         specs.push(label_spec(0, 99)); // exceeds the 3-worker pool
         assert!(p.publish_tasks(proj, specs).is_err());
-        assert_eq!(p.total_tasks(), 10, "failed batch must leave no tasks");
+        assert_eq!(p.world.lock().tasks.len(), 10, "failed batch must leave no tasks");
         // Empty batches are free.
         assert!(p.publish_tasks(proj, Vec::new()).unwrap().is_empty());
         assert!(p.fetch_runs_bulk(&[]).unwrap().is_empty());
@@ -704,19 +638,16 @@ mod tests {
         assert_eq!(p.api_calls(), 3);
     }
 
-    // ---- sharded-engine tests ----
-
-    /// Publishes `n_tasks` on a sharded world and returns every task +
-    /// every run — the whole observable outcome.
-    fn sharded_world(
+    /// Publishes `n_tasks` in bulk, drives them to completion, and returns
+    /// every task + every run — the whole observable outcome.
+    fn world_outcome(
         n_workers: usize,
         n_tasks: usize,
         redundancy: u32,
         seed: u64,
-        shards: usize,
     ) -> (Vec<Task>, Vec<Vec<TaskRun>>) {
-        let p = SimPlatform::sharded(n_workers, 0.85, seed, shards);
-        let proj = p.create_project("sharded").unwrap();
+        let p = SimPlatform::quick(n_workers, 0.85, seed);
+        let proj = p.create_project("world").unwrap();
         let specs: Vec<TaskSpec> =
             (0..n_tasks).map(|i| label_spec(i % 2, redundancy)).collect();
         let tasks = p.publish_tasks(proj, specs).unwrap();
@@ -728,61 +659,19 @@ mod tests {
 
     #[test]
     fn sharded_world_completes_and_reproduces() {
-        for shards in [1, 2, 3, 4] {
-            let (tasks, runs) = sharded_world(24, 40, 2, 99, shards);
-            assert!(tasks.iter().all(|t| t.status == TaskStatus::Completed));
-            assert!(runs.iter().all(|r| r.len() == 2), "exact redundancy per task");
-            // Identical (seed, shard_count) => bit-identical world.
-            assert_eq!((tasks, runs), sharded_world(24, 40, 2, 99, shards));
-        }
-    }
-
-    #[test]
-    fn different_shard_counts_are_different_worlds() {
-        // Not a guarantee anyone relies on — pinned so a silent change to
-        // the partitioning (e.g. everything landing on shard 0) is caught.
-        assert_ne!(sharded_world(24, 40, 2, 99, 1), sharded_world(24, 40, 2, 99, 4));
-    }
-
-    #[test]
-    fn workers_never_cross_shards() {
-        let p = SimPlatform::sharded(16, 0.9, 5, 4);
-        let proj = p.create_project("exp").unwrap();
-        let tasks = p
-            .publish_tasks(proj, (0..30).map(|i| label_spec(i % 2, 2)).collect())
-            .unwrap();
-        let ids: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
-        p.run_until_complete(&ids).unwrap();
-        for (task, runs) in ids.iter().zip(p.fetch_runs_bulk(&ids).unwrap()) {
-            let task_shard = SimPlatform::shard_of(*task, 4);
-            for r in runs {
-                assert_eq!(
-                    SimPlatform::shard_of(r.worker_id, 4),
-                    task_shard,
-                    "task {task} answered by a worker from another shard"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn redundancy_larger_than_shard_rejected() {
-        // 4 workers over 4 shards: some shard has ≤ 1 worker, so a spec
-        // needing 3 distinct workers cannot be placed.
-        let p = SimPlatform::sharded(4, 0.9, 13, 4);
-        let proj = p.create_project("exp").unwrap();
-        let err = p.publish_task(proj, label_spec(0, 3)).unwrap_err();
-        assert!(matches!(err, Error::InvalidRequest(_)));
-        assert!(err.to_string().contains("shard"), "error names the shard: {err}");
+        let (tasks, runs) = world_outcome(24, 40, 2, 99);
+        assert!(tasks.iter().all(|t| t.status == TaskStatus::Completed));
+        assert!(runs.iter().all(|r| r.len() == 2), "exact redundancy per task");
+        // Identical seed => bit-identical world.
+        assert_eq!((tasks, runs), world_outcome(24, 40, 2, 99));
     }
 
     #[test]
     fn step_rotates_but_matches_drain() {
-        // Driving via single `step` calls (round-robin) and via the
-        // parallel drain must land in the same final world: shards share
-        // nothing, so event interleaving across shards cannot matter.
+        // Driving via single `step` calls and via `run_until_complete`'s
+        // lock-once drain must land in the same final world.
         let world = |drain: bool| {
-            let p = SimPlatform::sharded(12, 0.85, 31, 3);
+            let p = SimPlatform::quick(12, 0.85, 31);
             let proj = p.create_project("exp").unwrap();
             let tasks = p
                 .publish_tasks(proj, (0..20).map(|i| label_spec(i % 2, 2)).collect())
@@ -803,13 +692,13 @@ mod tests {
         let pool = WorkerPool::new(
             (1..=8u64)
                 .map(|id| {
-                    let mut w = crate::sim::worker::WorkerProfile::with_ability(id, 1.0);
+                    let mut w = WorkerProfile::with_ability(id, 1.0);
                     w.abandon_p = 0.0;
                     w
                 })
                 .collect(),
         );
-        let p = SimPlatform::new(SimConfig::new(pool, 17).with_shards(2));
+        let p = SimPlatform::new(SimConfig::new(pool, 17));
         let proj = p.create_project("exp").unwrap();
         let tasks = p
             .publish_tasks(proj, (0..10).map(|i| label_spec(i % 2, 2)).collect())
@@ -821,9 +710,56 @@ mod tests {
         assert_eq!(p.events(), 20);
     }
 
+    // ---- the event loop's O(1) hot path ----
+
+    fn raw_spec(raw: u64, n: u32) -> TaskSpec {
+        TaskSpec { payload: serde_json::json!({ "raw": raw }), n_assignments: n }
+    }
+
+    fn world(n_workers: u64) -> World {
+        let workers: Vec<_> =
+            (1..=n_workers).map(|id| WorkerProfile::with_ability(id, 1.0)).collect();
+        World::new(&workers, 7)
+    }
+
     #[test]
-    #[should_panic(expected = "shard count must be at least 1")]
-    fn zero_shards_rejected() {
-        SimPlatform::new(SimConfig::new(WorkerPool::uniform(2, 0.9), 1).with_shards(0));
+    fn completion_tombstones_instead_of_shifting() {
+        let mut w = world(3);
+        for id in 1..=3 {
+            w.place(1, raw_spec(id, 1));
+        }
+        assert_eq!(w.open_live, 3);
+        while w.step().unwrap() {}
+        assert_eq!(w.open_live, 0);
+        // The queue itself never shrank — completion is O(1).
+        assert_eq!(w.open.len(), 3);
+        assert!(w.open.iter().all(Option::is_none));
+        assert!(w.tasks.values().all(|t| t.status == TaskStatus::Completed));
+    }
+
+    #[test]
+    fn cursors_never_rewind() {
+        let mut w = world(2);
+        for id in 1..=6 {
+            w.place(1, raw_spec(id, 2));
+        }
+        let mut last: HashMap<WorkerId, usize> = HashMap::new();
+        while w.step().unwrap() {
+            for (&worker, &c) in &w.cursor {
+                assert!(c >= last.get(&worker).copied().unwrap_or(0), "cursor rewound");
+                last.insert(worker, c);
+            }
+        }
+        assert_eq!(w.open_live, 0);
+    }
+
+    #[test]
+    fn empty_world_makes_no_progress() {
+        let mut w = world(0);
+        assert!(!w.step().unwrap());
+        w.place(1, raw_spec(1, 1));
+        // A task but no workers: the world stalls rather than panics.
+        assert!(!w.step().unwrap());
+        assert_eq!(w.events, 0);
     }
 }

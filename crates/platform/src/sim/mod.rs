@@ -1,9 +1,7 @@
-//! The simulated crowd: worker models, answer models, and the sharded
-//! event loop ([`engine`] drives one independent `shard::Shard` per
-//! hash partition of the task/worker id space).
+//! The simulated crowd: worker models, answer models, and the seeded
+//! single-world event loop ([`engine`]).
 
 pub mod answer;
 pub mod engine;
 pub mod latency;
-pub(crate) mod shard;
 pub mod worker;

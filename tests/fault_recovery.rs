@@ -440,3 +440,148 @@ fn repeated_crashes_pay_only_deltas() {
     }
     assert_eq!(published_total, 12);
 }
+
+/// Runs `f` on a helper thread, failing the test if it has not returned
+/// within 10 s instead of hanging the suite.
+fn within_timeout<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let out = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the pipeline hung (or unwound) instead of returning an error");
+    helper.join().expect("the helper thread finished after sending");
+    out
+}
+
+/// A simulator whose `at`-th bulk publish (0-based) panics: an adapter
+/// bug rather than a reported failure.
+struct PanicOnPublish {
+    inner: Arc<SimPlatform>,
+    at: u64,
+    publishes: std::sync::atomic::AtomicU64,
+}
+
+mod panic_on_publish {
+    use super::PanicOnPublish;
+    use reprowd::platform::{
+        CrowdPlatform, Project, ProjectId, Result, SimTime, Task, TaskId, TaskRun, TaskSpec,
+    };
+    use std::sync::atomic::Ordering;
+
+    impl CrowdPlatform for PanicOnPublish {
+        fn name(&self) -> &str {
+            "panic-on-publish"
+        }
+        fn create_project(&self, name: &str) -> Result<ProjectId> {
+            self.inner.create_project(name)
+        }
+        fn project(&self, id: ProjectId) -> Result<Project> {
+            self.inner.project(id)
+        }
+        fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
+            self.inner.publish_task(project, spec)
+        }
+        fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
+            assert!(self.publishes.fetch_add(1, Ordering::SeqCst) != self.at, "adapter bug");
+            self.inner.publish_tasks(project, specs)
+        }
+        fn task(&self, id: TaskId) -> Result<Task> {
+            self.inner.task(id)
+        }
+        fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
+            self.inner.fetch_runs(task)
+        }
+        fn is_complete(&self, task: TaskId) -> Result<bool> {
+            self.inner.is_complete(task)
+        }
+        fn step(&self) -> Result<bool> {
+            self.inner.step()
+        }
+        fn api_calls(&self) -> u64 {
+            self.inner.api_calls()
+        }
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+    }
+}
+
+/// A panic inside a pipelined platform call surfaces as an error from
+/// `publish`, at every depth, with the batches before it committed — the
+/// same prefix an injected crash at that batch leaves.
+#[test]
+fn panic_in_a_platform_call_fails_publish_with_the_committed_prefix() {
+    for depth in [1usize, 4, 8] {
+        let inner = Arc::new(SimPlatform::quick(6, 0.9, 321));
+        let db: Arc<dyn Backend> = Arc::new(MemoryStore::new());
+        let config = move || ExecutionConfig::with_batch_size(4).with_inflight_batches(depth);
+        let panicky = Arc::new(PanicOnPublish {
+            inner: Arc::clone(&inner),
+            at: 2,
+            publishes: Default::default(),
+        });
+        let cc = reprowd::core::CrowdContext::with_config(panicky, Arc::clone(&db), config())
+            .unwrap();
+        let err = within_timeout(move || {
+            cc.crowddata("recovery")
+                .unwrap()
+                .data(objects(20))
+                .unwrap()
+                .presenter(Presenter::image_label("Is this a cat?", &["Yes", "No"]))
+                .unwrap()
+                .publish(3)
+                .err()
+                .map(|e| e.to_string())
+        })
+        .expect("publish must fail");
+        assert!(err.contains("panicked: adapter bug"), "depth {depth}: {err}");
+
+        let cc = reprowd::core::CrowdContext::with_config(inner, db, config()).unwrap();
+        let s = pipeline(&cc, 20).run_stats();
+        assert_eq!(s.tasks_reused, 8, "depth {depth}: the two batches before the panic");
+        assert_eq!(s.tasks_published, 12, "depth {depth}");
+    }
+}
+
+/// A panicking stream sink (the commit side) surfaces as an error from
+/// `run_stream` instead of hanging the in-flight workers; the chunks
+/// committed before it replay from the store.
+#[test]
+fn panic_in_a_stream_sink_fails_run_stream_with_the_committed_prefix() {
+    use reprowd_core::pipeline::{run_stream, StreamSpec};
+    for depth in [1usize, 4, 8] {
+        let db: Arc<dyn Backend> = Arc::new(MemoryStore::new());
+        let cc = reprowd::core::CrowdContext::with_config(
+            Arc::new(SimPlatform::quick(6, 0.9, 77)),
+            db,
+            ExecutionConfig::with_batch_size(4).with_inflight_batches(depth),
+        )
+        .unwrap();
+        let spec = StreamSpec {
+            experiment: "stream-panic".into(),
+            presenter: Presenter::image_label("Is this a cat?", &["Yes", "No"]),
+            n_assignments: 3,
+        };
+        let (cc2, spec2) = (cc.clone(), spec.clone());
+        let (delivered, err) = within_timeout(move || {
+            let mut delivered = 0usize;
+            let err = run_stream(&cc2, &spec2, objects(100).into_iter(), |row| {
+                assert!(row.index != 9, "sink bug");
+                delivered += 1;
+                Ok(())
+            })
+            .unwrap_err();
+            (delivered, err.to_string())
+        });
+        assert!(err.contains("panicked: sink bug"), "depth {depth}: {err}");
+        assert_eq!(delivered, 9, "depth {depth}: rows before the panicking one");
+
+        let report = run_stream(&cc, &spec, objects(100).into_iter(), |_| Ok(())).unwrap();
+        // Chunk 2 persisted its cells before its sink ran, as with a sink
+        // that returns an error.
+        assert_eq!(report.stats.results_reused, 12, "depth {depth}");
+        assert_eq!(report.stats.tasks_published, 88, "depth {depth}");
+    }
+}
