@@ -22,28 +22,15 @@
 use crate::context::CrowdContext;
 use crate::error::{Error, Result};
 use crate::hash::RowKeyer;
+use crate::pipeline::{Lane, Lifecycle};
 use crate::presenter::Presenter;
 use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
 use crate::value::{canonical, Value};
-use reprowd_platform::types::{TaskId, TaskSpec};
 use reprowd_quality::{
     majority_vote_matrix, weighted_majority_vote_matrix, DawidSkene, DsConfig, OneCoin,
     OneCoinConfig, TiePolicy, VoteMatrix, WorkerId,
 };
 use std::collections::{BTreeMap, HashMap};
-
-/// Enforces the bulk-endpoint contract ("all-or-nothing, results in
-/// request order"): a platform answering a bulk call with the wrong
-/// cardinality would otherwise silently leave tail rows unpersisted.
-pub(crate) fn check_bulk_len(op: &str, got: usize, requested: usize) -> Result<()> {
-    if got != requested {
-        return Err(Error::State(format!(
-            "platform bulk contract violated: {op} returned {got} items for a \
-             batch of {requested}"
-        )));
-    }
-    Ok(())
-}
 
 /// One row of a CrowdData table.
 #[derive(Debug, Clone)]
@@ -119,7 +106,6 @@ pub struct CrowdData {
     /// distinct from "step 1 never happened").
     data_set: bool,
     presenter: Option<Presenter>,
-    n_assignments: Option<u32>,
     stats: RunStats,
 }
 
@@ -134,7 +120,6 @@ impl CrowdData {
             keyer: RowKeyer::default(),
             data_set: false,
             presenter: None,
-            n_assignments: None,
             stats: RunStats::default(),
         }
     }
@@ -228,111 +213,15 @@ impl CrowdData {
         if n_assignments == 0 {
             return Err(Error::State("n_assignments must be positive".into()));
         }
-        let fp = presenter.fingerprint();
-        if self.n_assignments.is_none() {
-            self.n_assignments = Some(n_assignments);
-        }
         if self.manifest.n_assignments != Some(n_assignments) {
             self.manifest.n_assignments = Some(n_assignments);
             self.save_manifest()?;
         }
-
-        // Pass 1: serve cache hits; remember the rows that genuinely need
-        // the crowd, along with the cache key each will be stored under.
-        let mut misses: Vec<(usize, String)> = Vec::new();
-        for i in 0..self.rows.len() {
-            if self.rows[i].task.is_some() {
-                continue;
-            }
-            let key = ExperimentStore::row_key(&self.manifest.name, &fp, &self.rows[i].hash);
-            if let Some(cached) = self.ctx.store().tasks.get(key.as_bytes())? {
-                self.rows[i].task = Some(cached);
-                self.stats.tasks_reused += 1;
-                continue;
-            }
-            misses.push((i, key));
-        }
-        if misses.is_empty() {
-            // Fully cached: zero platform traffic, the sharable guarantee.
-            return Ok(self);
-        }
-
-        // Pass 2: bulk-publish the misses, one batch per round-trip.
-        let pid = self.ensure_project(&presenter)?;
-        let work: Vec<(usize, String, u32)> =
-            misses.into_iter().map(|(i, key)| (i, key, n_assignments)).collect();
-        let published = self.bulk_publish(&presenter, pid, &work)?;
-        self.stats.tasks_published += published.len() as u64;
+        let lanes = self.lanes(&presenter, n_assignments, |row| row.task.is_none());
+        let lanes = Lifecycle::new(&self.ctx, &presenter, &mut self.manifest)
+            .classic_publish(lanes, &mut self.stats)?;
+        self.restore(lanes);
         Ok(self)
-    }
-
-    /// Bulk-publishes `work` — `(row index, cache key, redundancy)` — in
-    /// batches of the context's batch size, with up to
-    /// [`inflight_batches`](crate::exec::ExecutionConfig::inflight_batches)
-    /// batch round-trips in flight at once (see [`crate::pipeline`]): the
-    /// platform still observes the batches strictly in order (the issue
-    /// gate serializes their effects), and each batch's atomic database
-    /// write commits strictly in batch order, so results and the store
-    /// are bit-identical to sequential execution at every depth. Sets each
-    /// row's task cell and returns the published `(row index, task id)`
-    /// pairs in input order. Shared by `publish` and `collect`'s lost-task
-    /// republish path, so both always follow the same contract.
-    fn bulk_publish(
-        &mut self,
-        presenter: &Presenter,
-        pid: u64,
-        work: &[(usize, String, u32)],
-    ) -> Result<Vec<(usize, TaskId)>> {
-        let rows = &self.rows;
-        let ctx = &self.ctx;
-        let mut cells: Vec<(usize, StoredTask)> = Vec::with_capacity(work.len());
-        crate::pipeline::run_chunked(
-            ctx.exec().inflight_batches(),
-            ctx.exec().batch_size(),
-            work,
-            |slot, chunk: &[(usize, String, u32)], gate| {
-                let specs: Vec<TaskSpec> = chunk
-                    .iter()
-                    .map(|&(i, _, n)| TaskSpec {
-                        payload: presenter.render(&rows[i].object),
-                        n_assignments: n,
-                    })
-                    .collect();
-                let tasks = ctx.platform().publish_tasks_pipelined(pid, specs, gate, slot)?;
-                check_bulk_len("publish_tasks", tasks.len(), chunk.len())?;
-                Ok(tasks)
-            },
-            |chunk, tasks| {
-                ctx.exec().metrics().record_publish(chunk.len() as u64);
-                let stored: Vec<(String, StoredTask)> = chunk
-                    .iter()
-                    .zip(tasks)
-                    .map(|(&(i, ref key, n), task)| {
-                        let cell = StoredTask {
-                            task,
-                            object: rows[i].object.clone(),
-                            n_assignments: n,
-                        };
-                        (key.clone(), cell)
-                    })
-                    .collect();
-                ctx.store().put_task_batch(&stored)?;
-                for (&(i, _, _), (_, cell)) in chunk.iter().zip(stored) {
-                    cells.push((i, cell));
-                }
-                Ok(())
-            },
-        )?;
-        let mut published = Vec::with_capacity(cells.len());
-        for (i, cell) in cells {
-            published.push((i, cell.task.id));
-            self.rows[i].task = Some(cell);
-        }
-        Ok(published)
-    }
-
-    fn ensure_project(&mut self, presenter: &Presenter) -> Result<u64> {
-        crate::pipeline::ensure_project(&self.ctx, &mut self.manifest, presenter)
     }
 
     // ---------------------------------------------------------- step 4
@@ -348,9 +237,11 @@ impl CrowdData {
     /// [`BatchMetrics`](crate::exec::BatchMetrics).
     ///
     /// Crash safety mirrors [`publish`](CrowdData::publish): results land
-    /// in the database batch by batch, so a crash mid-`collect` re-fetches
-    /// at most the one batch in flight on rerun (the crowd work itself is
-    /// never redone — the tasks stay collected on the platform).
+    /// in the database batch by batch, in order, so a crash mid-`collect`
+    /// re-fetches on rerun at most the batches past the commit frontier —
+    /// up to `2 × inflight_batches` of them, the same window `publish`
+    /// documents (the crowd work itself is never redone — the tasks stay
+    /// collected on the platform).
     ///
     /// Completion is probed in bulk too
     /// ([`are_complete`](reprowd_platform::CrowdPlatform::are_complete),
@@ -364,116 +255,47 @@ impl CrowdData {
             .presenter
             .clone()
             .ok_or_else(|| Error::State("collect before presenter".into()))?;
-        let fp = presenter.fingerprint();
-        // Cache pass: serve cached results; remember candidate rows
-        // (index, cache key, task id, redundancy) that need the platform.
-        let mut candidates: Vec<(usize, String, TaskId, u32)> = Vec::new();
-        for i in 0..self.rows.len() {
-            if self.rows[i].result.is_some() {
-                continue;
-            }
-            let key = ExperimentStore::row_key(&self.manifest.name, &fp, &self.rows[i].hash);
-            if let Some(cached) = self.ctx.store().results.get(key.as_bytes())? {
-                self.rows[i].result = Some(cached);
-                self.stats.results_reused += 1;
-                continue;
-            }
-            let Some(stored) = self.rows[i].task.as_ref() else {
-                return Err(Error::State(format!(
-                    "collect before publish: row {i} has no task"
-                )));
-            };
-            candidates.push((i, key, stored.task.id, stored.n_assignments));
-        }
-
-        // Status pass: one bulk probe per batch tells us which tasks the
-        // platform still knows (a platform restart loses tasks — distinct
-        // from a client crash, whose state lives in our database). Probes
-        // are read-only, so batches pipeline like every other phase.
-        let mut pending: Vec<(usize, TaskId)> = Vec::new();
-        let mut lost: Vec<(usize, String, u32)> = Vec::new();
-        {
-            let ctx = &self.ctx;
-            crate::pipeline::run_chunked(
-                ctx.exec().inflight_batches(),
-                ctx.exec().batch_size(),
-                &candidates,
-                |slot, chunk: &[(usize, String, TaskId, u32)], gate| {
-                    let ids: Vec<TaskId> = chunk.iter().map(|&(_, _, id, _)| id).collect();
-                    let statuses = ctx.platform().are_complete_pipelined(&ids, gate, slot)?;
-                    check_bulk_len("are_complete", statuses.len(), chunk.len())?;
-                    Ok(statuses)
-                },
-                |chunk, statuses| {
-                    ctx.exec().metrics().record_probe(chunk.len() as u64);
-                    for ((i, key, id, n), status) in chunk.iter().cloned().zip(statuses) {
-                        match status {
-                            Some(_) => pending.push((i, id)),
-                            None => lost.push((i, key, n)),
-                        }
-                    }
-                    Ok(())
-                },
-            )?;
-        }
-
-        // Batch-republish rows whose tasks the platform lost.
-        if !lost.is_empty() {
-            let pid = self.ensure_project(&presenter)?;
-            let republished = self.bulk_publish(&presenter, pid, &lost)?;
-            self.stats.tasks_republished += republished.len() as u64;
-            pending.extend(republished);
-        }
-
-        if pending.is_empty() {
-            return Ok(self);
-        }
-        let ids: Vec<TaskId> = pending.iter().map(|&(_, id)| id).collect();
-        self.ctx.platform().run_until_complete(&ids)?;
-        // Fetch pass: read-only bulk fetches pipeline with up to `depth`
-        // batches in flight; each batch's atomic result write commits in
-        // batch order, so a crash still leaves a clean batch prefix and
-        // re-fetches at most the batches that were in flight.
-        let mut cells: Vec<(usize, StoredResult)> = Vec::with_capacity(pending.len());
-        {
-            let ctx = &self.ctx;
-            let rows = &self.rows;
-            let name = &self.manifest.name;
-            crate::pipeline::run_chunked(
-                ctx.exec().inflight_batches(),
-                ctx.exec().batch_size(),
-                &pending,
-                |slot, chunk: &[(usize, TaskId)], gate| {
-                    let chunk_ids: Vec<TaskId> = chunk.iter().map(|&(_, id)| id).collect();
-                    let runs_per_task =
-                        ctx.platform().fetch_runs_bulk_pipelined(&chunk_ids, gate, slot)?;
-                    check_bulk_len("fetch_runs_bulk", runs_per_task.len(), chunk.len())?;
-                    Ok(runs_per_task)
-                },
-                |chunk, runs_per_task| {
-                    ctx.exec().metrics().record_fetch(chunk.len() as u64);
-                    let stored: Vec<(String, StoredResult)> = chunk
-                        .iter()
-                        .zip(runs_per_task)
-                        .map(|(&(i, _), runs)| {
-                            let key = ExperimentStore::row_key(name, &fp, &rows[i].hash);
-                            (key, StoredResult { runs })
-                        })
-                        .collect();
-                    // One atomic write per batch, in batch order.
-                    ctx.store().put_result_batch(&stored)?;
-                    for (&(i, _), (_, cell)) in chunk.iter().zip(stored) {
-                        cells.push((i, cell));
-                    }
-                    Ok(())
-                },
-            )?;
-        }
-        for (i, cell) in cells {
-            self.rows[i].result = Some(cell);
-            self.stats.results_collected += 1;
-        }
+        // Lanes publish only to replace a task the platform lost, under
+        // the lost cell's own redundancy, so they need none of their own.
+        let lanes = self.lanes(&presenter, 0, |row| row.result.is_none());
+        let lanes = Lifecycle::new(&self.ctx, &presenter, &mut self.manifest)
+            .classic_collect(lanes, &mut self.stats)?;
+        self.restore(lanes);
         Ok(self)
+    }
+
+    /// Moves the rows `pick` selects into lanes of the chunk lifecycle
+    /// (objects and cells move, nothing is cloned); `restore` moves them
+    /// back.
+    fn lanes(
+        &mut self,
+        presenter: &Presenter,
+        redundancy: u32,
+        pick: impl Fn(&Row) -> bool,
+    ) -> Vec<Lane> {
+        let fp = presenter.fingerprint();
+        let name = &self.manifest.name;
+        self.rows
+            .iter_mut()
+            .filter(|row| pick(row))
+            .map(|row| {
+                let key = ExperimentStore::row_key(name, &fp, &row.hash);
+                let mut lane =
+                    Lane::new(row.index, key, std::mem::take(&mut row.object), redundancy);
+                lane.task = row.task.take();
+                lane.result = row.result.take();
+                lane
+            })
+            .collect()
+    }
+
+    fn restore(&mut self, lanes: Vec<Lane>) {
+        for lane in lanes {
+            let row = &mut self.rows[lane.index];
+            row.object = lane.object;
+            row.task = lane.task;
+            row.result = lane.result;
+        }
     }
 
     // ---------------------------------------------------------- step 5
@@ -719,6 +541,7 @@ impl CrowdData {
 mod tests {
     use super::*;
     use crate::val;
+    use reprowd_platform::types::TaskSpec;
     use reprowd_platform::{CrowdPlatform, SimPlatform};
     use reprowd_storage::{Backend, MemoryStore};
     use std::sync::Arc;

@@ -1,15 +1,9 @@
-//! The pipelined execution engine: overlapped platform round-trips with
-//! deterministic, in-order commits.
-//!
-//! PR 2 batched `publish`/`collect`, but the batches themselves ran
-//! strictly one after another — on any real crowd backend, where a
-//! round-trip costs tens of milliseconds of wire latency, that latency is
-//! paid serially. This module adds the missing overlap without giving up
-//! one bit of reproducibility:
+//! The pipelined execution engine, and the one chunk lifecycle both
+//! execution paths run on it.
 //!
 //! * **A bounded-depth scheduler** (plain threads and channels): up to
 //!   [`ExecutionConfig::inflight_batches`](crate::exec::ExecutionConfig::inflight_batches)
-//!   batch jobs are in flight at once, with claim backpressure so resident
+//!   chunk jobs are in flight at once, with claim backpressure so resident
 //!   work never outruns the commit frontier by more than the window.
 //!   Depth 1 degenerates to an inline loop — bit-for-bit the sequential
 //!   engine.
@@ -34,16 +28,32 @@
 //!   of later batches may already be on the platform — the same bounded
 //!   exposure as the documented crash window.)
 //!
-//! On top of the scheduler, [`run_stream`] fuses the whole
-//! publish→wait→fetch→commit lifecycle per chunk and accepts the
-//! candidates as an **iterator**, so operators (sort, max, CrowdER join)
-//! can generate candidate pairs lazily: generation interleaves with
-//! publishing, at most a window's worth of rows is resident, and a join
-//! over 10⁴ records no longer materializes an O(n²) pair vector. The
-//! streamed schedule issues each chunk's probe → publish → wait → fetch in
-//! one fixed slot order, so streamed results are *also* bit-identical
-//! across depths — the in-flight depth is a pure performance knob
-//! everywhere.
+//! On top of the scheduler sits the **chunk lifecycle**, the legs a row
+//! goes through on its way to a result cell: cache read, bulk probe (a
+//! task the platform lost is republished under its stored redundancy),
+//! bulk publish, wait, bulk fetch, and one commit that writes a chunk's
+//! task and result batches, meters them in
+//! [`BatchMetrics`](crate::exec::BatchMetrics) and folds its
+//! [`RunStats`]. The two execution paths are two schedules of these legs:
+//!
+//! * **Classic** ([`CrowdData::publish`](crate::CrowdData::publish) and
+//!   [`collect`](crate::CrowdData::collect)), phase at a time: `publish`
+//!   runs the publish leg over every chunk; `collect` runs the probe leg,
+//!   then the republish, then one wait for every pending task, then the
+//!   fetch leg — each leg a gated pass of its own, one slot per chunk.
+//! * **Streamed** ([`run_stream`]), fused: each chunk runs every leg in one
+//!   job, in one fixed slot order — probe → publish → wait → fetch, four
+//!   slots per chunk. Candidates arrive as an **iterator**, so operators
+//!   (sort, max, CrowdER join) generate candidate pairs lazily: generation
+//!   interleaves with publishing, at most a window's worth of rows is
+//!   resident, and a join over 10⁴ records never materializes an O(n²)
+//!   pair vector.
+//!
+//! Each schedule is fixed per `(input, batch_size)`, so both are
+//! bit-identical across depths — the in-flight depth is a pure performance
+//! knob everywhere. Run fresh, the two are different experiments (the
+//! streamed crowd works chunk by chunk); they share keys, cells and
+//! accounting, so either one reruns the other for free.
 
 use crate::context::CrowdContext;
 use crate::crowddata::RunStats;
@@ -234,53 +244,386 @@ fn caught<R>(what: &str, k: usize, f: impl FnOnce() -> Result<R>) -> Result<R> {
     })
 }
 
-/// The common chunked single-slot pipeline: splits `items` into
-/// `batch_size` chunks, owns the issue gate, and runs each chunk through
-/// `work` (one gated platform call, slot = chunk index) and `commit`
-/// (strictly in chunk order). The classic publish, status, and fetch
-/// passes are all instances of this shape.
-pub(crate) fn run_chunked<I: Sync, T: Send>(
-    depth: usize,
-    batch_size: usize,
-    items: &[I],
-    work: impl Fn(u64, &[I], &IssueGate) -> Result<T> + Sync,
-    mut commit: impl FnMut(&[I], T) -> Result<()>,
-) -> Result<()> {
-    let gate = IssueGate::new();
-    let mut chunks = items.chunks(batch_size);
-    run_windowed(
-        depth,
-        1,
-        &gate,
-        |_k| Ok(chunks.next()),
-        |k, chunk: &mut &[I]| work(k as u64, chunk, &gate),
-        |_k, chunk, out| commit(chunk, out),
-    )
+// ------------------------------------------------------- chunk lifecycle
+
+/// Enforces the bulk-endpoint contract ("all-or-nothing, results in
+/// request order"): a platform answering a bulk call with the wrong
+/// cardinality would otherwise silently leave tail rows unpersisted.
+fn check_bulk_len(op: &str, got: usize, requested: usize) -> Result<()> {
+    if got != requested {
+        return Err(Error::State(format!(
+            "platform bulk contract violated: {op} returned {got} items for a \
+             batch of {requested}"
+        )));
+    }
+    Ok(())
 }
 
-// ----------------------------------------------------------- shared bits
+/// One row moving through the chunk lifecycle.
+#[derive(Default)]
+pub(crate) struct Lane {
+    /// Row index (classic) or stream position (streamed).
+    pub(crate) index: usize,
+    /// The row's cache key.
+    pub(crate) key: String,
+    pub(crate) object: Value,
+    pub(crate) task: Option<StoredTask>,
+    pub(crate) result: Option<StoredResult>,
+    /// Workers to ask if this lane publishes: the run's redundancy, or a
+    /// lost task's stored one.
+    redundancy: u32,
+    /// The platform lost this lane's task: publishing it is a republish.
+    lost: bool,
+    /// What the current job did; the commit turns it into store writes,
+    /// metrics and accounting, then clears it.
+    did: Did,
+}
 
-/// Resolves (or creates) the platform project an experiment publishes
-/// into, persisting a newly created id into the manifest. Shared by the
-/// classic `publish` path and the streaming runner so both follow the same
-/// revalidation contract (a fresh platform instance may have lost the
-/// recorded project).
-pub(crate) fn ensure_project(
-    cc: &CrowdContext,
-    manifest: &mut Manifest,
-    presenter: &Presenter,
-) -> Result<u64> {
-    if let Some(pid) = manifest.project_id {
-        if cc.platform().project(pid).is_ok() {
+#[derive(Default)]
+struct Did {
+    /// The task cell counts as served from the store.
+    task_cached: bool,
+    /// The result cell was served from the store.
+    result_cached: bool,
+    probed: bool,
+    published: bool,
+    fetched: bool,
+}
+
+impl Lane {
+    pub(crate) fn new(index: usize, key: String, object: Value, redundancy: u32) -> Self {
+        Lane { index, key, object, redundancy, ..Lane::default() }
+    }
+}
+
+/// Which cells the cache leg looks up.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Want {
+    Tasks,
+    Results,
+    Both,
+}
+
+/// Positions and task ids of the lanes that hold a task but no result.
+fn awaiting(lanes: &[Lane]) -> (Vec<usize>, Vec<TaskId>) {
+    lanes
+        .iter()
+        .enumerate()
+        .filter(|(_, lane)| lane.result.is_none())
+        .filter_map(|(p, lane)| Some((p, lane.task.as_ref()?.task.id)))
+        .unzip()
+}
+
+/// The legs of one run over one experiment, and what they share: the
+/// context, the task UI, and the manifest whose platform project is
+/// resolved once, by the first leg that publishes.
+pub(crate) struct Lifecycle<'a> {
+    cc: &'a CrowdContext,
+    presenter: &'a Presenter,
+    project: Mutex<(&'a mut Manifest, Option<u64>)>,
+}
+
+impl<'a> Lifecycle<'a> {
+    pub(crate) fn new(
+        cc: &'a CrowdContext,
+        presenter: &'a Presenter,
+        manifest: &'a mut Manifest,
+    ) -> Self {
+        Lifecycle { cc, presenter, project: Mutex::new((manifest, None)) }
+    }
+
+    /// The experiment's platform project: the recorded one if the platform
+    /// still knows it (a fresh platform instance may have lost it), else a
+    /// new one, persisted into the manifest. Resolved once per run.
+    fn project_id(&self) -> Result<u64> {
+        let mut slot = self.project.lock().expect("project lock poisoned by a panicking leg");
+        let (manifest, resolved) = &mut *slot;
+        if let Some(pid) = *resolved {
             return Ok(pid);
         }
+        let pid = match manifest.project_id {
+            Some(pid) if self.cc.platform().project(pid).is_ok() => pid,
+            _ => {
+                let pid = self
+                    .cc
+                    .platform()
+                    .create_project(&format!("{}:{}", manifest.name, self.presenter.name))?;
+                manifest.project_id = Some(pid);
+                self.cc.store().manifests.put(manifest.name.as_bytes(), &**manifest)?;
+                pid
+            }
+        };
+        *resolved = Some(pid);
+        Ok(pid)
     }
-    let pid = cc
-        .platform()
-        .create_project(&format!("{}:{}", manifest.name, presenter.name))?;
-    manifest.project_id = Some(pid);
-    cc.store().manifests.put(manifest.name.as_bytes(), manifest)?;
-    Ok(pid)
+
+    /// Cache leg: serves the wanted cells each lane still lacks from the
+    /// store. A cached result serves the whole row, so when tasks are
+    /// wanted too its task counts as reused without being read.
+    fn read_cache(&self, lanes: &mut [Lane], want: Want) -> Result<()> {
+        let store = self.cc.store();
+        for lane in lanes {
+            let key = lane.key.as_bytes();
+            if want != Want::Tasks && lane.result.is_none() {
+                if let Some(result) = store.results.get(key)? {
+                    lane.result = Some(result);
+                    lane.did.result_cached = true;
+                    lane.did.task_cached = want == Want::Both;
+                    continue;
+                }
+            }
+            if want != Want::Results && lane.task.is_none() {
+                if let Some(task) = store.tasks.get(key)? {
+                    lane.task = Some(task);
+                    lane.did.task_cached = true;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Probe leg: one bulk completion probe over the lanes awaiting a
+    /// result. A task the platform no longer knows (the platform restarted,
+    /// distinct from a client crash) is dropped, to be republished under
+    /// the redundancy its cell was created with.
+    fn probe(&self, lanes: &mut [Lane], gate: &IssueGate, slot: u64) -> Result<()> {
+        let (at, ids) = awaiting(lanes);
+        let statuses = self.cc.platform().are_complete_pipelined(&ids, gate, slot)?;
+        check_bulk_len("are_complete", statuses.len(), ids.len())?;
+        for (&p, status) in at.iter().zip(statuses) {
+            let lane = &mut lanes[p];
+            lane.did.probed = true;
+            if status.is_none() {
+                lane.redundancy = lane.task.take().expect("awaiting lane has a task").n_assignments;
+                lane.lost = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// Publish leg: one bulk publish of the lanes with neither a task nor
+    /// a result, each under its lane's redundancy. A chunk with nothing to
+    /// publish still takes its slot, with an empty (free) request and
+    /// without resolving the project.
+    fn publish(&self, lanes: &mut [Lane], gate: &IssueGate, slot: u64) -> Result<()> {
+        let at: Vec<usize> = (0..lanes.len())
+            .filter(|&p| lanes[p].task.is_none() && lanes[p].result.is_none())
+            .collect();
+        let pid = if at.is_empty() { 0 } else { self.project_id()? };
+        let specs: Vec<TaskSpec> = at
+            .iter()
+            .map(|&p| TaskSpec {
+                payload: self.presenter.render(&lanes[p].object),
+                n_assignments: lanes[p].redundancy,
+            })
+            .collect();
+        let tasks = self.cc.platform().publish_tasks_pipelined(pid, specs, gate, slot)?;
+        check_bulk_len("publish_tasks", tasks.len(), at.len())?;
+        for (&p, task) in at.iter().zip(tasks) {
+            let lane = &mut lanes[p];
+            // The cell's copy of the object is made by the commit.
+            let cell = StoredTask { task, object: Value::Null, n_assignments: lane.redundancy };
+            lane.task = Some(cell);
+            lane.did.published = true;
+        }
+        Ok(())
+    }
+
+    /// Wait leg: drives the platform until every lane awaiting a result has
+    /// a complete task — in its slot when `turn` is given (streamed), as
+    /// one plain call otherwise (classic, between its passes).
+    fn wait(&self, lanes: &[Lane], turn: Option<(&IssueGate, u64)>) -> Result<()> {
+        let (_, ids) = awaiting(lanes);
+        let platform = self.cc.platform();
+        match turn {
+            Some((gate, slot)) => platform.run_until_complete_pipelined(&ids, gate, slot)?,
+            None => platform.run_until_complete(&ids)?,
+        }
+        Ok(())
+    }
+
+    /// Fetch leg: one bulk fetch of the runs of the lanes awaiting a result.
+    fn fetch(&self, lanes: &mut [Lane], gate: &IssueGate, slot: u64) -> Result<()> {
+        let (at, ids) = awaiting(lanes);
+        let runs_per_task = self.cc.platform().fetch_runs_bulk_pipelined(&ids, gate, slot)?;
+        check_bulk_len("fetch_runs_bulk", runs_per_task.len(), ids.len())?;
+        for (&p, runs) in at.iter().zip(runs_per_task) {
+            lanes[p].result = Some(StoredResult { runs });
+            lanes[p].did.fetched = true;
+        }
+        Ok(())
+    }
+
+    /// Commit leg: writes the new task cells, then the new result cells
+    /// (one atomic batch each), meters the round-trips that produced them
+    /// and folds what happened to each lane into `stats`.
+    fn commit(&self, lanes: &mut [Lane], stats: &mut RunStats) -> Result<()> {
+        let metrics = self.cc.exec().metrics();
+        let probed = lanes.iter().filter(|lane| lane.did.probed).count() as u64;
+        if probed > 0 {
+            metrics.record_probe(probed);
+        }
+        // Copied here, on the thread that encodes the cells, not by the
+        // publish leg on a worker: at depth 4 on a 2-core host, copying on
+        // the workers made a fresh 2·10⁴-row publish ~7% slower.
+        for lane in lanes.iter_mut().filter(|lane| lane.did.published) {
+            if let Some(cell) = &mut lane.task {
+                cell.object = lane.object.clone();
+            }
+        }
+        let tasks: Vec<(&[u8], &StoredTask)> = lanes
+            .iter()
+            .filter(|lane| lane.did.published)
+            .filter_map(|lane| Some((lane.key.as_bytes(), lane.task.as_ref()?)))
+            .collect();
+        if !tasks.is_empty() {
+            metrics.record_publish(tasks.len() as u64);
+            self.cc.store().tasks.put_many(tasks)?;
+        }
+        let results: Vec<(&[u8], &StoredResult)> = lanes
+            .iter()
+            .filter(|lane| lane.did.fetched)
+            .filter_map(|lane| Some((lane.key.as_bytes(), lane.result.as_ref()?)))
+            .collect();
+        if !results.is_empty() {
+            metrics.record_fetch(results.len() as u64);
+            self.cc.store().results.put_many(results)?;
+        }
+        for lane in lanes.iter_mut() {
+            let did = std::mem::take(&mut lane.did);
+            stats.merge(RunStats {
+                tasks_published: u64::from(did.published && !lane.lost),
+                tasks_reused: u64::from(did.task_cached),
+                results_collected: u64::from(did.fetched),
+                results_reused: u64::from(did.result_cached),
+                tasks_republished: u64::from(did.published && lane.lost),
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs `lanes` through the pipeline in chunks of the context's batch
+    /// size: `legs(chunk, gate, base)` is a chunk's job, on a worker thread,
+    /// with slots `base..base + slots`; each finished chunk is committed in
+    /// order and its lanes handed to `sink`.
+    fn run(
+        &self,
+        lanes: impl Iterator<Item = Lane> + Send,
+        slots: u64,
+        legs: impl Fn(&mut [Lane], &IssueGate, u64) -> Result<()> + Sync,
+        mut sink: impl FnMut(Lane) -> Result<()>,
+    ) -> Result<StreamReport> {
+        let batch_size = self.cc.exec().batch_size();
+        let gate = IssueGate::new();
+        let inflight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let mut report = StreamReport::default();
+        let mut lanes = lanes;
+        run_windowed(
+            self.cc.exec().inflight_batches(),
+            slots,
+            &gate,
+            |_k| {
+                let chunk: Vec<Lane> = lanes.by_ref().take(batch_size).collect();
+                if chunk.is_empty() {
+                    return Ok(None);
+                }
+                let now = inflight.fetch_add(chunk.len(), Ordering::Relaxed) + chunk.len();
+                peak.fetch_max(now, Ordering::Relaxed);
+                Ok(Some(chunk))
+            },
+            |k, chunk: &mut Vec<Lane>| legs(chunk, &gate, k as u64 * slots),
+            |_k, mut chunk, ()| {
+                self.commit(&mut chunk, &mut report.stats)?;
+                inflight.fetch_sub(chunk.len(), Ordering::Relaxed);
+                report.chunks += 1;
+                for lane in chunk {
+                    report.rows += 1;
+                    sink(lane)?;
+                }
+                Ok(())
+            },
+        )?;
+        report.peak_inflight_rows = peak.load(Ordering::Relaxed);
+        Ok(report)
+    }
+
+    /// One classic phase: `leg` over every chunk of `lanes`, one slot per
+    /// chunk. Returns the lanes in input order.
+    fn pass(
+        &self,
+        lanes: Vec<Lane>,
+        leg: fn(&Self, &mut [Lane], &IssueGate, u64) -> Result<()>,
+        stats: &mut RunStats,
+    ) -> Result<Vec<Lane>> {
+        let mut out = Vec::with_capacity(lanes.len());
+        let report = self.run(
+            lanes.into_iter(),
+            1,
+            |chunk, gate, slot| leg(self, chunk, gate, slot),
+            |lane| {
+                out.push(lane);
+                Ok(())
+            },
+        )?;
+        stats.merge(report.stats);
+        Ok(out)
+    }
+
+    /// The classic publish schedule: a cache pass over `lanes`, then the
+    /// publish leg over the misses. Returns every lane, with its task.
+    pub(crate) fn classic_publish(
+        &self,
+        mut lanes: Vec<Lane>,
+        stats: &mut RunStats,
+    ) -> Result<Vec<Lane>> {
+        self.read_cache(&mut lanes, Want::Tasks)?;
+        let (mut done, misses): (Vec<Lane>, Vec<Lane>) =
+            lanes.into_iter().partition(|lane| lane.task.is_some());
+        self.commit(&mut done, stats)?;
+        if misses.is_empty() {
+            // Fully cached: zero platform traffic, the sharable guarantee.
+            return Ok(done);
+        }
+        // Every chunk of this pass publishes: resolve the project before
+        // any of them, as a sequential run does.
+        self.project_id()?;
+        done.extend(self.pass(misses, Self::publish, stats)?);
+        Ok(done)
+    }
+
+    /// The classic collect schedule: a cache pass over `lanes`, then the
+    /// probe leg, the republish of lost tasks, one wait for every pending
+    /// task, and the fetch leg. Returns every lane, with its result.
+    pub(crate) fn classic_collect(
+        &self,
+        mut lanes: Vec<Lane>,
+        stats: &mut RunStats,
+    ) -> Result<Vec<Lane>> {
+        self.read_cache(&mut lanes, Want::Results)?;
+        if let Some(lane) = lanes.iter().find(|lane| lane.result.is_none() && lane.task.is_none()) {
+            return Err(Error::State(format!(
+                "collect before publish: row {} has no task",
+                lane.index
+            )));
+        }
+        let (mut done, unfinished): (Vec<Lane>, Vec<Lane>) =
+            lanes.into_iter().partition(|lane| lane.result.is_some());
+        self.commit(&mut done, stats)?;
+        // Republished tasks queue behind the ones the platform still had:
+        // that order fixes the wait and the fetch chunks.
+        let (lost, mut pending): (Vec<Lane>, Vec<Lane>) =
+            self.pass(unfinished, Self::probe, stats)?.into_iter().partition(|lane| lane.lost);
+        if !lost.is_empty() {
+            self.project_id()?;
+            pending.extend(self.pass(lost, Self::publish, stats)?);
+        }
+        if !pending.is_empty() {
+            self.wait(&pending, None)?;
+            done.extend(self.pass(pending, Self::fetch, stats)?);
+        }
+        Ok(done)
+    }
 }
 
 /// Majority vote over one row's runs, against an explicit answer space —
@@ -348,33 +691,6 @@ pub struct StreamReport {
     pub peak_inflight_rows: usize,
 }
 
-/// Per-row state as a chunk moves through its lifecycle.
-struct StreamRow {
-    index: usize,
-    key: String,
-    object: Value,
-    /// Result served from the cache (skips the platform entirely).
-    cached_result: Option<StoredResult>,
-    /// The task cell: cached, or freshly published by this chunk.
-    task: Option<StoredTask>,
-    /// Task was published (or re-published) by this chunk → persist it.
-    fresh: bool,
-    /// The cached task was lost by the platform and re-published.
-    republished: bool,
-    /// Workers to ask if this row publishes: the stream's redundancy for
-    /// fresh rows, but the *stored task's* redundancy when re-publishing
-    /// a platform-lost task — matching the classic collect path, which
-    /// republishes under the redundancy the cell was created with.
-    redundancy: u32,
-    /// The fetched result (for rows that went to the platform).
-    fetched: Option<StoredResult>,
-}
-
-struct StreamChunk {
-    rows: Vec<StreamRow>,
-    probed: u64,
-}
-
 /// Streams `candidates` through the full publish→wait→fetch lifecycle and
 /// hands each collected row to `sink`, in input order.
 ///
@@ -415,212 +731,32 @@ pub fn run_stream(
         cc.store().manifests.put(spec.experiment.as_bytes(), &manifest)?;
     }
 
-    let batch_size = cc.exec().batch_size();
-    let depth = cc.exec().inflight_batches();
-    let gate = IssueGate::new();
-    // The project is resolved lazily, once, by the first chunk that
-    // actually publishes — a fully cached stream stays platform-free.
-    let project: Mutex<(Manifest, Option<u64>)> = Mutex::new((manifest, None));
-    let inflight = AtomicUsize::new(0);
-    let peak = AtomicUsize::new(0);
-
-    let mut report = StreamReport::default();
-    let mut iter = candidates;
+    // Keyed like the classic `data(...)` step, so streamed and classic
+    // runs share the cache.
+    let (name, fp, n_assignments) = (&spec.experiment, &fp, spec.n_assignments);
     let mut keyer = RowKeyer::default();
-    let mut next_index = 0usize;
-
-    let name = spec.experiment.clone();
-    let presenter = &spec.presenter;
-    let n_assignments = spec.n_assignments;
-
-    run_windowed(
-        depth,
+    let lanes = candidates.enumerate().map(move |(index, object)| {
+        let key = ExperimentStore::row_key(name, fp, &keyer.key(&object));
+        Lane::new(index, key, object, n_assignments)
+    });
+    let lifecycle = Lifecycle::new(cc, &spec.presenter, &mut manifest);
+    lifecycle.run(
+        lanes,
         4,
-        &gate,
-        // Source: pull one chunk of candidates, keyed like the classic
-        // `data(...)` step (streamed and classic runs share the cache).
-        |_k| {
-            let mut rows = Vec::new();
-            for object in iter.by_ref().take(batch_size) {
-                rows.push(StreamRow {
-                    index: next_index,
-                    key: ExperimentStore::row_key(&name, &fp, &keyer.key(&object)),
-                    object,
-                    cached_result: None,
-                    task: None,
-                    fresh: false,
-                    republished: false,
-                    redundancy: n_assignments,
-                    fetched: None,
-                });
-                next_index += 1;
-            }
-            if rows.is_empty() {
-                return Ok(None);
-            }
-            let now = inflight.fetch_add(rows.len(), Ordering::Relaxed) + rows.len();
-            peak.fetch_max(now, Ordering::Relaxed);
-            Ok(Some(StreamChunk { rows, probed: 0 }))
+        |chunk, gate, base| {
+            lifecycle.read_cache(chunk, Want::Both)?;
+            lifecycle.probe(chunk, gate, base)?;
+            lifecycle.publish(chunk, gate, base + 1)?;
+            lifecycle.wait(chunk, Some((gate, base + 2)))?;
+            lifecycle.fetch(chunk, gate, base + 3)
         },
-        // Work: the chunk's whole lifecycle, four gated slots.
-        |k, chunk: &mut StreamChunk| {
-            let base = k as u64 * 4;
-            // Cache pass (reads only; keys are unique per row, so reads
-            // racing earlier chunks' commits cannot observe this stream's
-            // own rows half-written).
-            for row in chunk.rows.iter_mut() {
-                if let Some(res) = cc.store().results.get(row.key.as_bytes())? {
-                    row.cached_result = Some(res);
-                } else if let Some(task) = cc.store().tasks.get(row.key.as_bytes())? {
-                    row.task = Some(task);
-                } else {
-                    row.fresh = true;
-                }
-            }
-            // Slot 1: probe cached tasks — a restarted platform may have
-            // lost them, exactly like the classic collect status pass.
-            let probe_at: Vec<usize> = (0..chunk.rows.len())
-                .filter(|&p| chunk.rows[p].task.is_some() && chunk.rows[p].cached_result.is_none())
-                .collect();
-            let ids: Vec<TaskId> = probe_at
-                .iter()
-                .map(|&p| chunk.rows[p].task.as_ref().expect("probed row has task").task.id)
-                .collect();
-            let statuses = cc.platform().are_complete_pipelined(&ids, &gate, base)?;
-            crate::crowddata::check_bulk_len("are_complete", statuses.len(), ids.len())?;
-            chunk.probed = ids.len() as u64;
-            for (&p, status) in probe_at.iter().zip(statuses) {
-                if status.is_none() {
-                    let row = &mut chunk.rows[p];
-                    // Republish under the lost cell's own redundancy, as
-                    // the classic collect path does.
-                    row.redundancy = row
-                        .task
-                        .take()
-                        .expect("probed row has task")
-                        .n_assignments;
-                    row.fresh = true;
-                    row.republished = true;
-                }
-            }
-            // Slot 2: publish the rows that need the crowd.
-            let publish_at: Vec<usize> =
-                (0..chunk.rows.len()).filter(|&p| chunk.rows[p].fresh).collect();
-            if publish_at.is_empty() {
-                // Nothing to publish: advance the slot without a request.
-                cc.platform().publish_tasks_pipelined(0, Vec::new(), &gate, base + 1)?;
-            } else {
-                let pid = {
-                    let mut slot = project.lock().expect("stream project lock");
-                    match slot.1 {
-                        Some(pid) => pid,
-                        None => {
-                            let (manifest, cached) = &mut *slot;
-                            let pid = ensure_project(cc, manifest, presenter)?;
-                            *cached = Some(pid);
-                            pid
-                        }
-                    }
-                };
-                let specs: Vec<TaskSpec> = publish_at
-                    .iter()
-                    .map(|&p| TaskSpec {
-                        payload: presenter.render(&chunk.rows[p].object),
-                        n_assignments: chunk.rows[p].redundancy,
-                    })
-                    .collect();
-                let tasks = cc.platform().publish_tasks_pipelined(pid, specs, &gate, base + 1)?;
-                crate::crowddata::check_bulk_len("publish_tasks", tasks.len(), publish_at.len())?;
-                for (&p, task) in publish_at.iter().zip(tasks) {
-                    let row = &mut chunk.rows[p];
-                    row.task = Some(StoredTask {
-                        task,
-                        object: row.object.clone(),
-                        n_assignments: row.redundancy,
-                    });
-                }
-            }
-            // Slots 3 and 4: wait for this chunk's tasks, then fetch them.
-            let pending_at: Vec<usize> = (0..chunk.rows.len())
-                .filter(|&p| chunk.rows[p].cached_result.is_none())
-                .collect();
-            let ids: Vec<TaskId> = pending_at
-                .iter()
-                .map(|&p| chunk.rows[p].task.as_ref().expect("pending row has task").task.id)
-                .collect();
-            cc.platform().run_until_complete_pipelined(&ids, &gate, base + 2)?;
-            let runs_per_task = cc.platform().fetch_runs_bulk_pipelined(&ids, &gate, base + 3)?;
-            crate::crowddata::check_bulk_len("fetch_runs_bulk", runs_per_task.len(), ids.len())?;
-            for (&p, runs) in pending_at.iter().zip(runs_per_task) {
-                chunk.rows[p].fetched = Some(StoredResult { runs });
-            }
-            Ok(())
+        |lane| {
+            let result = lane.result.ok_or_else(|| {
+                Error::State(format!("streamed row {} finished without a result", lane.index))
+            })?;
+            sink(StreamedRow { index: lane.index, object: lane.object, result })
         },
-        // Commit: persist, meter, account, and hand rows to the sink — in
-        // chunk order.
-        |_k, chunk, ()| {
-            let task_cells: Vec<(String, StoredTask)> = chunk
-                .rows
-                .iter()
-                .filter(|r| r.fresh)
-                .map(|r| (r.key.clone(), r.task.clone().expect("fresh row has task")))
-                .collect();
-            let result_cells: Vec<(String, StoredResult)> = chunk
-                .rows
-                .iter()
-                .filter(|r| r.fetched.is_some())
-                .map(|r| (r.key.clone(), r.fetched.clone().expect("checked")))
-                .collect();
-            if chunk.probed > 0 {
-                cc.exec().metrics().record_probe(chunk.probed);
-            }
-            if !task_cells.is_empty() {
-                cc.exec().metrics().record_publish(task_cells.len() as u64);
-                cc.store().put_task_batch(&task_cells)?;
-            }
-            if !result_cells.is_empty() {
-                cc.exec().metrics().record_fetch(result_cells.len() as u64);
-                cc.store().put_result_batch(&result_cells)?;
-            }
-            inflight.fetch_sub(chunk.rows.len(), Ordering::Relaxed);
-            report.chunks += 1;
-            for row in chunk.rows {
-                report.rows += 1;
-                let result = match (row.cached_result, row.fetched) {
-                    (Some(res), _) => {
-                        // Same accounting as a classic cached rerun: both
-                        // the task and the result cells were reused.
-                        report.stats.results_reused += 1;
-                        report.stats.tasks_reused += 1;
-                        res
-                    }
-                    (None, Some(res)) => {
-                        report.stats.results_collected += 1;
-                        if row.republished {
-                            // Classic lost-task accounting: the cached
-                            // cell was reused, then re-published.
-                            report.stats.tasks_reused += 1;
-                            report.stats.tasks_republished += 1;
-                        } else if row.fresh {
-                            report.stats.tasks_published += 1;
-                        } else {
-                            report.stats.tasks_reused += 1;
-                        }
-                        res
-                    }
-                    (None, None) => {
-                        return Err(Error::State(format!(
-                            "streamed row {} finished without a result", row.index
-                        )));
-                    }
-                };
-                sink(StreamedRow { index: row.index, object: row.object, result })?;
-            }
-            Ok(())
-        },
-    )?;
-    report.peak_inflight_rows = peak.load(Ordering::Relaxed);
-    Ok(report)
+    )
 }
 
 #[cfg(test)]
@@ -828,16 +964,15 @@ mod tests {
 
     #[test]
     fn streamed_republish_keeps_the_stored_redundancy() {
-        // Publish under redundancy 4, lose the platform, then stream the
-        // same experiment asking for 2: the lost tasks must be
-        // re-published with their stored redundancy (4), exactly like the
-        // classic collect path.
+        // Publish under redundancy 4, lose the platform, then rerun the
+        // same experiment asking for 2 — streamed, or through the classic
+        // publish/collect chain: the lost tasks must be re-published with
+        // their stored redundancy (4) by both schedules.
         use crate::context::CrowdContext;
         use reprowd_platform::{CrowdPlatform, SimPlatform};
         use reprowd_storage::{Backend, MemoryStore};
         use std::sync::Arc;
 
-        let db: Arc<dyn Backend> = Arc::new(MemoryStore::new());
         let presenter = crate::presenter::Presenter::image_label("Q?", &["Yes", "No"]);
         let obj = |i: usize| {
             val!({
@@ -845,34 +980,56 @@ mod tests {
                 "_sim": {"kind": "label", "truth": 0, "labels": ["Yes", "No"], "difficulty": 0.0}
             })
         };
-        let p1 = Arc::new(SimPlatform::quick(5, 1.0, 9));
-        let cc1 = CrowdContext::new(Arc::clone(&p1) as Arc<dyn CrowdPlatform>, Arc::clone(&db))
-            .unwrap();
-        let _ = cc1
-            .crowddata("lost")
-            .unwrap()
-            .data((0..3).map(obj).collect())
-            .unwrap()
-            .presenter(presenter.clone())
-            .unwrap()
-            .publish(4)
-            .unwrap();
-        // Fresh platform instance: the published tasks are gone.
-        let p2 = Arc::new(SimPlatform::quick(5, 1.0, 10));
-        let cc2 = CrowdContext::new(Arc::clone(&p2) as Arc<dyn CrowdPlatform>, db).unwrap();
-        let spec = StreamSpec {
-            experiment: "lost".into(),
-            presenter,
-            n_assignments: 2,
-        };
-        let mut run_counts = Vec::new();
-        let report = run_stream(&cc2, &spec, (0..3).map(obj), |row| {
-            run_counts.push(row.result.runs.len());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(report.stats.tasks_republished, 3);
-        assert_eq!(run_counts, vec![4, 4, 4], "republished tasks keep redundancy 4");
+        for streamed in [true, false] {
+            let db: Arc<dyn Backend> = Arc::new(MemoryStore::new());
+            let p1 = Arc::new(SimPlatform::quick(5, 1.0, 9));
+            let cc1 =
+                CrowdContext::new(Arc::clone(&p1) as Arc<dyn CrowdPlatform>, Arc::clone(&db))
+                    .unwrap();
+            let _ = cc1
+                .crowddata("lost")
+                .unwrap()
+                .data((0..3).map(obj).collect())
+                .unwrap()
+                .presenter(presenter.clone())
+                .unwrap()
+                .publish(4)
+                .unwrap();
+            // Fresh platform instance: the published tasks are gone.
+            let p2 = Arc::new(SimPlatform::quick(5, 1.0, 10));
+            let cc2 = CrowdContext::new(Arc::clone(&p2) as Arc<dyn CrowdPlatform>, db).unwrap();
+            let (stats, run_counts) = if streamed {
+                let spec = StreamSpec {
+                    experiment: "lost".into(),
+                    presenter: presenter.clone(),
+                    n_assignments: 2,
+                };
+                let mut run_counts = Vec::new();
+                let report = run_stream(&cc2, &spec, (0..3).map(obj), |row| {
+                    run_counts.push(row.result.runs.len());
+                    Ok(())
+                })
+                .unwrap();
+                (report.stats, run_counts)
+            } else {
+                let cd = cc2
+                    .crowddata("lost")
+                    .unwrap()
+                    .data((0..3).map(obj).collect())
+                    .unwrap()
+                    .presenter(presenter.clone())
+                    .unwrap()
+                    .publish(2)
+                    .unwrap()
+                    .collect()
+                    .unwrap();
+                let run_counts =
+                    cd.rows().iter().map(|r| r.result.as_ref().unwrap().runs.len()).collect();
+                (cd.run_stats(), run_counts)
+            };
+            assert_eq!(stats.tasks_republished, 3, "streamed={streamed}");
+            assert_eq!(run_counts, vec![4, 4, 4], "streamed={streamed}: redundancy 4 is kept");
+        }
     }
 
     // ---------------------------------------------------- majority_answer

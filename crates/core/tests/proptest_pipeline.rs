@@ -167,5 +167,26 @@ proptest! {
         prop_assert_eq!(platform.api_calls(), calls, "streamed rerun must be free");
         prop_assert_eq!(report.stats.results_reused, objs.len() as u64);
         prop_assert_eq!(report.stats.tasks_published, 0);
+
+        // The other direction: a classic rerun of a streamed experiment.
+        let (cc, platform) = ctx(4, 5, seed);
+        run_stream(
+            &cc,
+            &StreamSpec {
+                experiment: "prop".into(),
+                presenter: Presenter::image_label("Q?", &["Yes", "No"]),
+                n_assignments: 2,
+            },
+            to_values(&objs).into_iter(),
+            |_row| Ok(()),
+        )
+        .unwrap();
+        let calls = platform.api_calls();
+        let stats = classic(&cc, to_values(&objs), 2).run_stats();
+        prop_assert_eq!(platform.api_calls(), calls, "classic rerun must be free");
+        let n = objs.len() as u64;
+        prop_assert_eq!(stats.results_reused, n);
+        prop_assert_eq!(stats.tasks_reused, n);
+        prop_assert_eq!(stats.tasks_published, 0);
     }
 }
