@@ -6,25 +6,45 @@
 //! fast for short keys, and fully specified here — no dependency drift can
 //! silently invalidate every cache.
 
-use crate::value::{canonical, Value};
+use crate::value::Value;
+use serde::json::Sink;
+use serde::Serialize;
 use std::collections::HashMap;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over raw bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+/// FNV-1a state; as a [`Sink`] it hashes an encoding as it is written.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
     }
-    h
 }
 
-/// Stable hash of a JSON value via its canonical encoding.
+impl Sink for Fnv1a {
+    fn put(&mut self, s: &str) {
+        self.write(s.as_bytes());
+    }
+}
+
+/// FNV-1a over raw bytes.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a(FNV_OFFSET);
+    h.write(bytes);
+    h.0
+}
+
+/// Stable hash of a JSON value: FNV-1a over its canonical encoding,
+/// streamed from the writer without building the string.
 pub fn hash_value(value: &Value) -> u64 {
-    fnv1a(canonical(value).as_bytes())
+    let mut h = Fnv1a(FNV_OFFSET);
+    value.write_json(&mut h);
+    h.0
 }
 
 /// Fixed-width lowercase hex of a hash (sortable, filename-safe).

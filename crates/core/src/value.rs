@@ -2,10 +2,11 @@
 //!
 //! CrowdData cells hold JSON values (`serde_json::Value`): the database file
 //! a researcher ships must be self-describing, and JSON is what the
-//! original system stored in SQLite. `serde_json`'s default object map is a
-//! `BTreeMap`, so serializing a [`Value`] yields a *canonical* byte string
-//! (keys sorted) — which is what makes content-hashed cache keys stable
-//! across runs and machines.
+//! original system stored in SQLite. The codec writes every object with its
+//! keys in ascending order — a `Value`'s map is a `BTreeMap`, and derived
+//! structs sort their fields at compile time — so equal values encode to
+//! one *canonical* byte string, which is what makes content-hashed cache
+//! keys stable across runs and machines.
 
 /// The cell/object type of CrowdData tables.
 pub type Value = serde_json::Value;
@@ -19,9 +20,12 @@ macro_rules! val {
     };
 }
 
-/// Canonical string encoding of a value (sorted object keys, no
-/// insignificant whitespace). Equal values encode equally; this is the
-/// input to cache-key hashing.
+/// Canonical string encoding of a value: sorted object keys, no
+/// whitespace, floats always with a `.` or exponent, strings escaping only
+/// `"`, `\` and control characters. Equal values encode equally. These are
+/// the bytes stored cells hold and [`hash_value`](crate::hash::hash_value)
+/// hashes (it streams them through FNV-1a without building this string),
+/// so they must never change.
 pub fn canonical(value: &Value) -> String {
     serde_json::to_string(value).expect("serde_json::Value serialization is infallible")
 }
