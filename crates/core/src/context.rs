@@ -7,7 +7,7 @@ use crate::error::{Error, Result};
 use crate::exec::{BatchMetricsSnapshot, ExecutionConfig, ExecutionContext};
 use crate::store::{ExperimentStore, Manifest};
 use reprowd_platform::{CrowdPlatform, SimPlatform};
-use reprowd_storage::{Backend, DiskStore, MemoryStore, SyncPolicy};
+use reprowd_storage::{Backend, Batch, DiskStore, MemoryStore, SyncPolicy};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -103,11 +103,11 @@ impl CrowdContext {
     }
 
     /// Like [`on_disk`](CrowdContext::on_disk), but honoring the whole
-    /// [`ExecutionConfig`] — including
-    /// [`segment_policy`](ExecutionConfig::segment_policy), which sizes
-    /// the database's log segments and sets its auto-compaction
-    /// threshold. Both batching and segmentation are pure performance
-    /// knobs: results are bit-identical under every setting.
+    /// [`ExecutionConfig`]; errors before opening the database if the
+    /// config is invalid. The store gets the default segment policy; to
+    /// tune rotation and compaction, open it with
+    /// [`DiskStore::open_with`] and pass it to
+    /// [`with_config`](CrowdContext::with_config).
     pub fn on_disk_with(
         platform: Arc<dyn CrowdPlatform>,
         db_path: impl AsRef<Path>,
@@ -115,8 +115,7 @@ impl CrowdContext {
         config: ExecutionConfig,
     ) -> Result<Self> {
         config.validate()?;
-        let backend: Arc<dyn Backend> =
-            Arc::new(DiskStore::open_with(db_path, sync, config.segment_policy)?);
+        let backend: Arc<dyn Backend> = Arc::new(DiskStore::open(db_path, sync)?);
         CrowdContext::with_config(platform, backend, config)
     }
 
@@ -150,25 +149,25 @@ impl CrowdContext {
             .collect())
     }
 
-    /// Deletes an experiment: its manifest and every cached task/result.
-    /// The platform-side project (if any) is left as-is, like the original
+    /// Deletes an experiment: its manifest and every cached task/result,
+    /// under every presenter it ever ran with, in one atomic batch (a
+    /// crash leaves the whole experiment or none of it). The
+    /// platform-side project (if any) is left as-is, like the original
     /// system (PyBossa projects outlive local state).
     pub fn delete_experiment(&self, name: &str) -> Result<()> {
-        let Some(manifest) = self.store.manifests.get(name.as_bytes())? else {
+        if self.store.manifests.get(name.as_bytes())?.is_none() {
             return Ok(());
-        };
-        if let Some(fp) = &manifest.presenter_fingerprint {
-            // scan_prefix returns full row keys (within the table), so they
-            // can be removed directly.
-            let prefix = ExperimentStore::prefix(name, fp);
-            for (key, _) in self.store.tasks.scan_prefix(prefix.as_bytes())? {
-                self.store.tasks.remove(&key)?;
-            }
-            for (key, _) in self.store.results.scan_prefix(prefix.as_bytes())? {
-                self.store.results.remove(&key)?;
-            }
         }
-        self.store.manifests.remove(name.as_bytes())?;
+        let prefix = ExperimentStore::experiment_prefix(name);
+        let mut batch = Batch::new();
+        for (key, _) in self.store.tasks.scan_prefix(prefix.as_bytes())? {
+            self.store.tasks.stage_remove(&mut batch, &key);
+        }
+        for (key, _) in self.store.results.scan_prefix(prefix.as_bytes())? {
+            self.store.results.stage_remove(&mut batch, &key);
+        }
+        self.store.manifests.stage_remove(&mut batch, name.as_bytes());
+        self.backend.apply_batch(batch)?;
         Ok(())
     }
 
@@ -234,12 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_in_memory_context() {
+    fn batched_in_memory_context() {
         let cfg = ExecutionConfig::with_batch_size(8);
         let cc = CrowdContext::in_memory_sim_with(7, cfg).unwrap();
         assert_eq!(cc.batch_size(), 8);
         let cd = cc
-            .crowddata("sharded")
+            .crowddata("batched")
             .unwrap()
             .data((0..40).map(|i| crate::value::Value::from(format!("obj{i}"))).collect())
             .unwrap()
@@ -258,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn on_disk_with_threads_the_segment_policy_through() {
+    fn with_config_over_a_segmented_disk_store() {
         use reprowd_storage::SegmentPolicy;
         let dir = std::env::temp_dir().join(format!("reprowd-ctx-seg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -266,13 +265,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(reprowd_storage::manifest::manifest_path(&path));
         let platform = Arc::new(SimPlatform::quick(5, 0.9, 11));
-        let cfg = ExecutionConfig::with_batch_size(4)
-            .with_segment_policy(SegmentPolicy::new(512, 1.0));
-        let cc = CrowdContext::on_disk_with(
+        let store = DiskStore::open_with(&path, SyncPolicy::Never, SegmentPolicy::new(512, 1.0));
+        let cc = CrowdContext::with_config(
             Arc::clone(&platform) as Arc<dyn CrowdPlatform>,
-            &path,
-            SyncPolicy::Never,
-            cfg,
+            Arc::new(store.unwrap()),
+            ExecutionConfig::with_batch_size(4),
         )
         .unwrap();
         let cd = cc
@@ -290,14 +287,64 @@ mod tests {
         // The tiny policy actually reached the store: the log rotated.
         assert!(cc.backend().stats().segments > 1, "stats: {:?}", cc.backend().stats());
         // An invalid policy is rejected up front.
-        let bad = ExecutionConfig::default().with_segment_policy(SegmentPolicy::new(0, 0.5));
-        assert!(CrowdContext::on_disk_with(
-            Arc::clone(&platform) as Arc<dyn CrowdPlatform>,
-            dir.join("never-created.rwlog"),
-            SyncPolicy::Never,
-            bad,
-        )
-        .is_err());
+        let bad = SegmentPolicy::new(0, 0.5);
+        assert!(
+            DiskStore::open_with(dir.join("never-created.rwlog"), SyncPolicy::Never, bad).is_err()
+        );
+    }
+
+    #[test]
+    fn delete_experiment_removes_every_presenter_in_one_batch() {
+        let path = std::env::temp_dir()
+            .join(format!("reprowd-ctx-delete-{}.rwlog", std::process::id()));
+        let _ = DiskStore::destroy(&path);
+        let platform: Arc<dyn CrowdPlatform> = Arc::new(SimPlatform::quick(5, 0.9, 3));
+        let open = || CrowdContext::on_disk(Arc::clone(&platform), &path, SyncPolicy::Always);
+        let run = |cc: &CrowdContext, name: &str, question: &str| {
+            cc.crowddata(name)
+                .unwrap()
+                .data((0..4).map(|i| crate::value::Value::from(format!("obj{i}"))).collect())
+                .unwrap()
+                .presenter(crate::presenter::Presenter::image_label(question, &["A", "B"]))
+                .unwrap()
+                .publish(3)
+                .unwrap()
+                .collect()
+                .unwrap()
+                .run_stats()
+        };
+        let keys = |cc: &CrowdContext| -> Vec<String> {
+            let scan = cc.backend().scan_prefix(b"").unwrap();
+            scan.into_iter().map(|(k, _)| String::from_utf8(k).unwrap()).collect()
+        };
+        let cc = open().unwrap();
+        run(&cc, "exp", "first?");
+        run(&cc, "exp", "second?");
+        run(&cc, "other", "first?");
+        let all = keys(&cc);
+        let mut others = all.clone();
+        others.retain(|k| k.ends_with("/other") || k.contains("/other/"));
+        // "exp": 2 presenters × 4 rows × (task + result) + its manifest.
+        assert_eq!(all.len() - others.len(), 17);
+
+        cc.delete_experiment("exp").unwrap();
+        assert_eq!(cc.experiments().unwrap(), vec!["other"]);
+        assert_eq!(keys(&cc), others, "cells of an earlier presenter survived");
+        drop(cc);
+
+        // Tear the tail of the log: the delete was one record, so the
+        // whole experiment comes back, never a part of it.
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 4).unwrap();
+        let cc = open().unwrap();
+        assert_eq!(keys(&cc), all, "a torn delete must leave the experiment whole");
+
+        // Deleted work is never reused by a rerun under the old presenter.
+        cc.delete_experiment("exp").unwrap();
+        let rerun = run(&cc, "exp", "first?");
+        assert_eq!((rerun.tasks_reused, rerun.tasks_published), (0, 4));
+        drop(cc);
+        DiskStore::destroy(&path).unwrap();
     }
 
     #[test]

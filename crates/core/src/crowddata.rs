@@ -860,13 +860,6 @@ mod tests {
             fn project(&self, id: ProjectId) -> reprowd_platform::Result<Project> {
                 self.0.project(id)
             }
-            fn publish_task(
-                &self,
-                project: ProjectId,
-                spec: TaskSpec,
-            ) -> reprowd_platform::Result<Task> {
-                self.0.publish_task(project, spec)
-            }
             fn publish_tasks(
                 &self,
                 project: ProjectId,
@@ -879,11 +872,17 @@ mod tests {
             fn task(&self, id: TaskId) -> reprowd_platform::Result<Task> {
                 self.0.task(id)
             }
-            fn fetch_runs(&self, task: TaskId) -> reprowd_platform::Result<Vec<TaskRun>> {
-                self.0.fetch_runs(task)
+            fn fetch_runs_bulk(
+                &self,
+                tasks: &[TaskId],
+            ) -> reprowd_platform::Result<Vec<Vec<TaskRun>>> {
+                self.0.fetch_runs_bulk(tasks)
             }
-            fn is_complete(&self, task: TaskId) -> reprowd_platform::Result<bool> {
-                self.0.is_complete(task)
+            fn are_complete(
+                &self,
+                tasks: &[TaskId],
+            ) -> reprowd_platform::Result<Vec<Option<bool>>> {
+                self.0.are_complete(tasks)
             }
             fn step(&self) -> reprowd_platform::Result<bool> {
                 self.0.step()

@@ -18,7 +18,6 @@
 //! counts included.
 
 use crate::error::{Error, Result};
-use reprowd_storage::SegmentPolicy;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,10 +37,7 @@ pub const DEFAULT_BATCH_SIZE: usize = 100;
 pub const DEFAULT_INFLIGHT_BATCHES: usize = 4;
 
 /// Tunable execution policy of a [`CrowdContext`](crate::CrowdContext).
-// `PartialEq` only: `segment_policy` carries an f64 threshold, and a
-// NaN-bearing (invalid, but constructible) policy must not pretend to
-// uphold `Eq`'s reflexivity contract.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutionConfig {
     /// Rows per platform round-trip in `publish`/`collect`. Must be ≥ 1;
     /// `1` reproduces the per-row pipeline bit-for-bit.
@@ -55,13 +51,6 @@ pub struct ExecutionConfig {
     /// is a pure wall-clock knob. It pays off on latency-bound platforms;
     /// on the in-process simulators it is overhead-neutral.
     pub inflight_batches: usize,
-    /// Rotation/compaction policy for contexts that open their own
-    /// on-disk database (e.g.
-    /// [`CrowdContext::on_disk_with`](crate::CrowdContext::on_disk_with)).
-    /// Ignored when the caller supplies a ready-made backend. Like
-    /// `batch_size`, this is a pure performance knob: segment boundaries
-    /// never change the visible contents of the store.
-    pub segment_policy: SegmentPolicy,
 }
 
 impl Default for ExecutionConfig {
@@ -69,7 +58,6 @@ impl Default for ExecutionConfig {
         ExecutionConfig {
             batch_size: DEFAULT_BATCH_SIZE,
             inflight_batches: DEFAULT_INFLIGHT_BATCHES,
-            segment_policy: SegmentPolicy::default(),
         }
     }
 }
@@ -86,14 +74,8 @@ impl ExecutionConfig {
         self
     }
 
-    /// Sets the on-disk segment rotation/compaction policy (builder style).
-    pub fn with_segment_policy(mut self, policy: SegmentPolicy) -> Self {
-        self.segment_policy = policy;
-        self
-    }
-
-    /// Rejects invalid configurations (`batch_size == 0`,
-    /// `inflight_batches == 0`, or an impossible segment policy).
+    /// Rejects invalid configurations (`batch_size == 0` or
+    /// `inflight_batches == 0`).
     pub fn validate(&self) -> Result<()> {
         if self.batch_size == 0 {
             return Err(Error::State("batch_size must be at least 1".into()));
@@ -101,7 +83,6 @@ impl ExecutionConfig {
         if self.inflight_batches == 0 {
             return Err(Error::State("inflight_batches must be at least 1".into()));
         }
-        self.segment_policy.validate().map_err(|e| Error::State(e.to_string()))?;
         Ok(())
     }
 }
@@ -309,23 +290,10 @@ mod tests {
 
     #[test]
     fn retuning_preserves_other_knobs() {
-        let ec = ExecutionContext::new(
-            ExecutionConfig::with_batch_size(7)
-                .with_segment_policy(SegmentPolicy::new(4096, 0.25)),
-        )
-        .unwrap();
-        let re = ec.retuned(2).unwrap();
+        let config = ExecutionConfig::with_batch_size(7).with_inflight_batches(3);
+        let re = ExecutionContext::new(config.clone()).unwrap().retuned(2).unwrap();
         assert_eq!(re.batch_size(), 2);
-        assert_eq!(re.config().segment_policy, SegmentPolicy::new(4096, 0.25));
-    }
-
-    #[test]
-    fn invalid_segment_policy_rejected() {
-        let bad = ExecutionConfig::default().with_segment_policy(SegmentPolicy::new(0, 0.5));
-        assert!(bad.validate().is_err());
-        let bad = ExecutionConfig::default().with_segment_policy(SegmentPolicy::new(1024, 2.0));
-        assert!(bad.validate().is_err());
-        assert_eq!(ExecutionConfig::default().segment_policy, SegmentPolicy::default());
+        assert_eq!(*re.config(), ExecutionConfig { batch_size: 2, ..config });
     }
 
     #[test]

@@ -93,28 +93,16 @@ impl ExperimentStore {
         })
     }
 
-    /// The cache-key prefix of an experiment + presenter combination.
-    pub fn prefix(experiment: &str, presenter_fp: &str) -> String {
-        format!("{experiment}/{presenter_fp}/")
+    /// The cache-key prefix of every row of an experiment, under any
+    /// presenter. Experiment names hold no '/', so it matches that
+    /// experiment only.
+    pub fn experiment_prefix(experiment: &str) -> String {
+        format!("{experiment}/")
     }
 
     /// Full cache key for a row.
     pub fn row_key(experiment: &str, presenter_fp: &str, row_hash: &str) -> String {
         format!("{experiment}/{presenter_fp}/{row_hash}")
-    }
-
-    /// Persists one publish batch worth of task cells **atomically** (one
-    /// log record): after a crash, either the whole batch is on disk or
-    /// none of it is, so recovery repays at most one batch of crowd work.
-    pub fn put_task_batch(&self, rows: &[(String, StoredTask)]) -> Result<()> {
-        self.tasks.put_many(rows.iter().map(|(k, v)| (k.as_bytes(), v)))?;
-        Ok(())
-    }
-
-    /// Persists one collect batch worth of result cells atomically.
-    pub fn put_result_batch(&self, rows: &[(String, StoredResult)]) -> Result<()> {
-        self.results.put_many(rows.iter().map(|(k, v)| (k.as_bytes(), v)))?;
-        Ok(())
     }
 }
 
@@ -166,36 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_puts_land_atomically_per_call() {
-        let s = store();
-        let tasks: Vec<(String, StoredTask)> = (0..4u64)
-            .map(|i| (ExperimentStore::row_key("exp", "fp", &format!("h{i}")), task(i)))
-            .collect();
-        s.put_task_batch(&tasks).unwrap();
-        assert_eq!(s.tasks.len().unwrap(), 4);
-        assert_eq!(s.tasks.get(tasks[2].0.as_bytes()).unwrap(), Some(task(2)));
-        let results: Vec<(String, StoredResult)> = (0..4u64)
-            .map(|i| {
-                (ExperimentStore::row_key("exp", "fp", &format!("h{i}")),
-                 StoredResult { runs: Vec::new() })
-            })
-            .collect();
-        s.put_result_batch(&results).unwrap();
-        assert_eq!(s.results.len().unwrap(), 4);
-        // Empty batches are no-ops.
-        s.put_task_batch(&[]).unwrap();
-        s.put_result_batch(&[]).unwrap();
-        assert_eq!(s.tasks.len().unwrap(), 4);
-    }
-
-    #[test]
     fn prefix_scan_isolates_experiments() {
         let s = store();
         for (exp, h) in [("a", "1"), ("a", "2"), ("b", "1")] {
             let key = ExperimentStore::row_key(exp, "fp", h);
             s.tasks.put(key.as_bytes(), &task(1)).unwrap();
         }
-        let hits = s.tasks.scan_prefix(ExperimentStore::prefix("a", "fp").as_bytes()).unwrap();
+        let prefix = ExperimentStore::experiment_prefix("a");
+        let hits = s.tasks.scan_prefix(prefix.as_bytes()).unwrap();
         assert_eq!(hits.len(), 2);
     }
 

@@ -24,6 +24,9 @@ pub enum Error {
     /// call in the same ordered stream failed (see
     /// [`IssueGate`](crate::gate::IssueGate)). The platform never saw it.
     Cancelled(String),
+    /// The platform answered outside its contract (e.g. a bulk endpoint
+    /// returned the wrong number of items).
+    BadResponse(String),
 }
 
 impl fmt::Display for Error {
@@ -35,6 +38,7 @@ impl fmt::Display for Error {
             Error::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
             Error::Injected(msg) => write!(f, "injected fault: {msg}"),
             Error::Cancelled(msg) => write!(f, "cancelled: {msg}"),
+            Error::BadResponse(msg) => write!(f, "bad platform response: {msg}"),
         }
     }
 }
@@ -53,5 +57,6 @@ mod tests {
         assert!(Error::InvalidRequest("y".into()).to_string().contains("invalid"));
         assert!(Error::Injected("z".into()).to_string().contains("fault"));
         assert!(Error::Cancelled("w".into()).to_string().contains("cancelled"));
+        assert!(Error::BadResponse("v".into()).to_string().contains("bad"));
     }
 }

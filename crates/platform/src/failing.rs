@@ -77,11 +77,6 @@ impl<P: CrowdPlatform> CrowdPlatform for FailingPlatform<P> {
         self.inner.project(id)
     }
 
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-        self.charge()?;
-        self.inner.publish_task(project, spec)
-    }
-
     /// One budget unit per bulk request (a batch is one round-trip), then
     /// forwards to the wrapped platform's bulk publish. A crash therefore
     /// lands *between* batches — the granularity the batched pipeline's
@@ -99,11 +94,6 @@ impl<P: CrowdPlatform> CrowdPlatform for FailingPlatform<P> {
         self.inner.task(id)
     }
 
-    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-        self.charge()?;
-        self.inner.fetch_runs(task)
-    }
-
     /// One budget unit per bulk request, then forwards to the wrapped
     /// platform's bulk fetch.
     fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
@@ -114,14 +104,8 @@ impl<P: CrowdPlatform> CrowdPlatform for FailingPlatform<P> {
         self.inner.fetch_runs_bulk(tasks)
     }
 
-    fn is_complete(&self, task: TaskId) -> Result<bool> {
-        self.inner.is_complete(task)
-    }
-
-    /// Status probes are never charged, like [`is_complete`]
-    /// (the budget models the calls the experiments count).
-    ///
-    /// [`is_complete`]: CrowdPlatform::is_complete
+    /// Status probes are never charged (the budget models the calls the
+    /// experiments count).
     fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
         self.inner.are_complete(tasks)
     }

@@ -96,6 +96,17 @@ impl IssueGate {
         }
     }
 
+    /// Runs `effect` in slot `slot`'s turn: takes the turn, runs the
+    /// effect, and completes the turn only if the effect succeeded. A
+    /// failed effect drops the turn, which closes the gate for every later
+    /// slot (see the module docs).
+    pub fn run<T>(&self, slot: u64, effect: impl FnOnce() -> Result<T>) -> Result<T> {
+        let turn = self.turn(slot)?;
+        let out = effect()?;
+        turn.complete();
+        Ok(out)
+    }
+
     /// Closes the gate: slots `>= slot` will fail with
     /// [`Error::Cancelled`]; slots below proceed normally. Idempotent
     /// (keeps the lowest close point). Used by the pipeline driver to

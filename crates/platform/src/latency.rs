@@ -9,7 +9,7 @@
 //! configurable wall-clock duration, split into a request half before the
 //! inner call and a response half after it.
 //!
-//! The pipelined bulk variants are overridden to model a pipelined
+//! The four pipelined variants share one helper that models a pipelined
 //! connection faithfully: the sleeps happen *outside* the
 //! [`IssueGate`] turn while the inner call — the
 //! server-side effect — happens inside it. Concurrent in-flight batches
@@ -56,26 +56,43 @@ impl<P: CrowdPlatform> LatencyPlatform<P> {
         self.round_trips.load(Ordering::Relaxed)
     }
 
-    /// One half of the configured round-trip (request or response leg).
-    fn half(&self) -> Duration {
-        self.rtt / 2
-    }
-
     /// Sleeps a full round-trip and counts it.
     fn pay_full(&self) {
         self.round_trips.fetch_add(1, Ordering::Relaxed);
         std::thread::sleep(self.rtt);
     }
 
-    /// Request leg: counts the round-trip, sleeps the first half.
-    fn pay_request(&self) {
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(self.half());
+    /// A full round-trip around `call`, counted. An `empty` request is
+    /// free: nothing goes on the wire and `call` is not made.
+    fn round_trip<T: Default>(&self, empty: bool, call: impl FnOnce() -> Result<T>) -> Result<T> {
+        if empty {
+            return Ok(T::default());
+        }
+        self.pay_full();
+        call()
     }
 
-    /// Response leg: sleeps the remaining half.
-    fn pay_response(&self) {
-        std::thread::sleep(self.rtt - self.half());
+    /// One pipelined bulk request: the request leg on the wire (counted as
+    /// a round-trip), `effect` inside slot `slot`'s turn, then the response
+    /// leg on the wire. In-flight batches overlap their latency while the
+    /// platform applies them in slot order. An `empty` request sends
+    /// nothing but still takes and completes its slot.
+    fn pipelined<T: Default>(
+        &self,
+        empty: bool,
+        order: &IssueGate,
+        slot: u64,
+        effect: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        if empty {
+            return order.run(slot, || Ok(T::default()));
+        }
+        let half = self.rtt / 2;
+        self.round_trips.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(half);
+        let out = order.run(slot, effect)?;
+        std::thread::sleep(self.rtt - half);
+        Ok(out)
     }
 }
 
@@ -93,22 +110,10 @@ impl<P: CrowdPlatform> CrowdPlatform for LatencyPlatform<P> {
         self.inner.project(id)
     }
 
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-        self.pay_full();
-        self.inner.publish_task(project, spec)
-    }
-
     fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.pay_full();
-        self.inner.publish_tasks(project, specs)
+        self.round_trip(specs.is_empty(), || self.inner.publish_tasks(project, specs))
     }
 
-    /// Request leg on the wire, inner effect inside the turn, response leg
-    /// on the wire: in-flight batches overlap their latency while the
-    /// platform applies them in slot order.
     fn publish_tasks_pipelined(
         &self,
         project: ProjectId,
@@ -116,17 +121,7 @@ impl<P: CrowdPlatform> CrowdPlatform for LatencyPlatform<P> {
         order: &IssueGate,
         slot: u64,
     ) -> Result<Vec<Task>> {
-        if specs.is_empty() {
-            // No request on the wire; still advance the slot order.
-            order.turn(slot)?.complete();
-            return Ok(Vec::new());
-        }
-        self.pay_request();
-        let turn = order.turn(slot)?;
-        let out = self.inner.publish_tasks(project, specs)?;
-        turn.complete();
-        self.pay_response();
-        Ok(out)
+        self.pipelined(specs.is_empty(), order, slot, || self.inner.publish_tasks(project, specs))
     }
 
     fn task(&self, id: TaskId) -> Result<Task> {
@@ -134,70 +129,32 @@ impl<P: CrowdPlatform> CrowdPlatform for LatencyPlatform<P> {
         self.inner.task(id)
     }
 
-    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-        self.pay_full();
-        self.inner.fetch_runs(task)
-    }
-
     fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
-        if tasks.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.pay_full();
-        self.inner.fetch_runs_bulk(tasks)
+        self.round_trip(tasks.is_empty(), || self.inner.fetch_runs_bulk(tasks))
     }
 
-    /// See [`publish_tasks_pipelined`](Self::publish_tasks_pipelined).
     fn fetch_runs_bulk_pipelined(
         &self,
         tasks: &[TaskId],
         order: &IssueGate,
         slot: u64,
     ) -> Result<Vec<Vec<TaskRun>>> {
-        if tasks.is_empty() {
-            order.turn(slot)?.complete();
-            return Ok(Vec::new());
-        }
-        self.pay_request();
-        let turn = order.turn(slot)?;
-        let out = self.inner.fetch_runs_bulk(tasks)?;
-        turn.complete();
-        self.pay_response();
-        Ok(out)
-    }
-
-    fn is_complete(&self, task: TaskId) -> Result<bool> {
-        self.pay_full();
-        self.inner.is_complete(task)
+        self.pipelined(tasks.is_empty(), order, slot, || self.inner.fetch_runs_bulk(tasks))
     }
 
     /// A status probe is free on the API-call meter but still a wall-clock
     /// round-trip — the asymmetry the client-side probe ledger exists for.
     fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
-        if tasks.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.pay_full();
-        self.inner.are_complete(tasks)
+        self.round_trip(tasks.is_empty(), || self.inner.are_complete(tasks))
     }
 
-    /// See [`publish_tasks_pipelined`](Self::publish_tasks_pipelined).
     fn are_complete_pipelined(
         &self,
         tasks: &[TaskId],
         order: &IssueGate,
         slot: u64,
     ) -> Result<Vec<Option<bool>>> {
-        if tasks.is_empty() {
-            order.turn(slot)?.complete();
-            return Ok(Vec::new());
-        }
-        self.pay_request();
-        let turn = order.turn(slot)?;
-        let out = self.inner.are_complete(tasks)?;
-        turn.complete();
-        self.pay_response();
-        Ok(out)
+        self.pipelined(tasks.is_empty(), order, slot, || self.inner.are_complete(tasks))
     }
 
     fn step(&self) -> Result<bool> {
@@ -205,32 +162,18 @@ impl<P: CrowdPlatform> CrowdPlatform for LatencyPlatform<P> {
     }
 
     /// One poll cycle's worth of latency, then the inner platform's own
-    /// (fast, possibly parallel) completion driver.
+    /// (fast) completion driver.
     fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
-        if tasks.is_empty() {
-            return Ok(());
-        }
-        self.pay_full();
-        self.inner.run_until_complete(tasks)
+        self.round_trip(tasks.is_empty(), || self.inner.run_until_complete(tasks))
     }
 
-    /// See [`publish_tasks_pipelined`](Self::publish_tasks_pipelined).
     fn run_until_complete_pipelined(
         &self,
         tasks: &[TaskId],
         order: &IssueGate,
         slot: u64,
     ) -> Result<()> {
-        if tasks.is_empty() {
-            order.turn(slot)?.complete();
-            return Ok(());
-        }
-        self.pay_request();
-        let turn = order.turn(slot)?;
-        self.inner.run_until_complete(tasks)?;
-        turn.complete();
-        self.pay_response();
-        Ok(())
+        self.pipelined(tasks.is_empty(), order, slot, || self.inner.run_until_complete(tasks))
     }
 
     fn api_calls(&self) -> u64 {

@@ -84,37 +84,9 @@ impl CrowdPlatform for MockPlatform {
         self.state.lock().projects.get(&id).cloned().ok_or(Error::UnknownProject(id))
     }
 
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-        self.bump();
-        if spec.n_assignments == 0 {
-            return Err(Error::InvalidRequest("n_assignments must be positive".into()));
-        }
-        let mut s = self.state.lock();
-        if !s.projects.contains_key(&project) {
-            return Err(Error::UnknownProject(project));
-        }
-        let id = s.next_task;
-        s.next_task += 1;
-        s.clock += 1;
-        let task = Task {
-            id,
-            project_id: project,
-            payload: spec.payload,
-            n_assignments: spec.n_assignments,
-            published_at: s.clock,
-            status: TaskStatus::Open,
-        };
-        s.tasks.insert(id, task.clone());
-        s.runs.insert(id, Vec::new());
-        s.pending.push(id);
-        Ok(task)
-    }
-
-    /// Native bulk publish: one API call, atomic. Specs are validated up
-    /// front, then registered exactly as sequential
-    /// [`publish_task`](CrowdPlatform::publish_task) calls would be
-    /// (including the per-task clock tick), so results are bit-identical
-    /// across batch sizes.
+    /// One API call, atomic. Specs are validated up front, then
+    /// registered one clock tick each, so results are bit-identical across
+    /// batch sizes.
     fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
         if specs.is_empty() {
             return Ok(Vec::new());
@@ -153,13 +125,8 @@ impl CrowdPlatform for MockPlatform {
         self.state.lock().tasks.get(&id).cloned().ok_or(Error::UnknownTask(id))
     }
 
-    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-        self.bump();
-        self.state.lock().runs.get(&task).cloned().ok_or(Error::UnknownTask(task))
-    }
-
-    /// Native bulk fetch: one API call, one consistent snapshot; an
-    /// unknown id fails the whole call.
+    /// One API call, one consistent snapshot; an unknown id fails the
+    /// whole call.
     fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
         if tasks.is_empty() {
             return Ok(Vec::new());
@@ -172,13 +139,7 @@ impl CrowdPlatform for MockPlatform {
             .collect()
     }
 
-    fn is_complete(&self, task: TaskId) -> Result<bool> {
-        let s = self.state.lock();
-        let t = s.tasks.get(&task).ok_or(Error::UnknownTask(task))?;
-        Ok(t.status == TaskStatus::Completed)
-    }
-
-    /// Native bulk status probe: one lock acquisition, one snapshot.
+    /// One lock acquisition, one snapshot.
     fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
         let s = self.state.lock();
         Ok(tasks

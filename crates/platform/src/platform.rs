@@ -11,13 +11,16 @@
 //!   produces answers only when the event loop advances; a real platform
 //!   would return `false` ("nothing to do locally") and rely on wall-clock
 //!   polling.
-//! * **Bulk operations** ([`CrowdPlatform::publish_tasks`],
+//! * **Bulk-first operations** ([`CrowdPlatform::publish_tasks`],
 //!   [`CrowdPlatform::fetch_runs_bulk`],
 //!   [`CrowdPlatform::are_complete`]) — the batched pipeline publishes,
 //!   probes, and fetches in chunks, so end-to-end cost stops scaling
-//!   linearly in round-trips. Implementations that override the defaults
-//!   count one API call per bulk publish/fetch request, matching how real
-//!   bulk endpoints bill (status probes stay free, like `is_complete`).
+//!   linearly in round-trips. The bulk methods are the required ones and
+//!   count one API call per publish/fetch request, matching how real bulk
+//!   endpoints bill (status probes stay free). There is no sequential
+//!   fallback: the per-row `publish_task`, `fetch_runs` and `is_complete`
+//!   are defaults that make a bulk request of one, so every platform
+//!   implements each effect exactly once.
 
 use crate::error::{Error, Result};
 use crate::gate::IssueGate;
@@ -39,6 +42,16 @@ pub(crate) fn still_open(tasks: &[TaskId], status: &[Option<bool>]) -> Result<us
     Ok(open)
 }
 
+/// The only item of a bulk response to a request of one, or
+/// [`Error::BadResponse`] if the endpoint `op` answered with any other
+/// number of items. The per-row trait defaults are built on it.
+fn one<T>(op: &str, mut items: Vec<T>) -> Result<T> {
+    match items.len() {
+        1 => Ok(items.remove(0)),
+        n => Err(Error::BadResponse(format!("{op} returned {n} items for a request of 1"))),
+    }
+}
+
 /// A crowdsourcing platform: projects, tasks, task runs.
 ///
 /// All methods take `&self`; implementations are internally synchronized so
@@ -50,8 +63,8 @@ pub(crate) fn still_open(tasks: &[TaskId], status: &[Option<bool>]) -> Result<us
 /// from several threads at once, so implementations must tolerate
 /// concurrent bulk calls (every in-tree platform serializes internally).
 /// Determinism does **not** rest on implementations being
-/// order-insensitive: each pipelined variant's default wraps the call's
-/// *effect* in an [`IssueGate`] turn, so whatever
+/// order-insensitive: each pipelined variant's default runs the whole
+/// call as its *effect* through [`IssueGate::run`], so whatever
 /// a platform does — allocate ids, tick clocks, charge budgets — happens in
 /// the caller's slot order, and a pipelined run issues the platform the
 /// **exact call sequence a sequential run issues**, at every depth.
@@ -70,64 +83,49 @@ pub trait CrowdPlatform: Send + Sync {
     /// Looks up a project.
     fn project(&self, id: ProjectId) -> Result<Project>;
 
-    /// Publishes one task. Counts as one API call.
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task>;
+    /// Publishes one task: a [`publish_tasks`](CrowdPlatform::publish_tasks)
+    /// request of one, so it counts as one API call. Errors if the bulk
+    /// endpoint does not answer with exactly one task.
+    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
+        one("publish_tasks", self.publish_tasks(project, vec![spec])?)
+    }
 
-    /// Publishes many tasks in one request.
+    /// Publishes many tasks in one request: **one** API call, atomic.
+    /// Either every spec is accepted (tasks returned in spec order, ids
+    /// ascending) or none is. Publishing an empty batch is free and issues
+    /// no API call. There is no sequential fallback: this is the one
+    /// publish every platform implements.
     ///
-    /// The default implementation is sequential [`publish_task`] calls
-    /// (one API call *per spec*), failing fast on the first error — tasks
-    /// already accepted stay accepted, exactly how a remote API behaves
-    /// when the client dies mid-loop. Platforms with a native bulk
-    /// endpoint ([`SimPlatform`], [`MockPlatform`]) override this with an
-    /// **atomic** one-API-call implementation: either every spec is
-    /// accepted (tasks returned in spec order, ids ascending) or none is.
-    /// Publishing an empty batch is free and issues no API call.
-    ///
-    /// Task ids, payloads, and timestamps are identical to what the same
-    /// specs published one-by-one would produce; only the API-call count
+    /// Task ids, payloads, and timestamps are identical whether the same
+    /// specs go out in one batch or in many; only the API-call count
     /// differs. The batched client pipeline relies on this to keep
     /// collected results bit-identical across batch sizes.
-    ///
-    /// [`publish_task`]: CrowdPlatform::publish_task
-    /// [`SimPlatform`]: crate::SimPlatform
-    /// [`MockPlatform`]: crate::MockPlatform
-    fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
-        let mut out = Vec::with_capacity(specs.len());
-        for spec in specs {
-            out.push(self.publish_task(project, spec)?);
-        }
-        Ok(out)
-    }
+    fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>>;
 
     /// Fetches a task's current state. Counts as one API call.
     fn task(&self, id: TaskId) -> Result<Task>;
 
-    /// Fetches all runs collected for a task so far. Counts as one API call.
-    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>>;
-
-    /// Fetches the runs of many tasks in one request, in input order.
-    ///
-    /// The default implementation is sequential [`fetch_runs`] calls (one
-    /// API call per task). Platforms with a native bulk endpoint override
-    /// this to serve the whole request as **one** API call from a single
-    /// consistent snapshot; if any listed task is unknown the whole call
-    /// fails with [`Error::UnknownTask`] and nothing is returned. Fetching
-    /// an empty batch is free and issues no API call.
-    ///
-    /// [`fetch_runs`]: CrowdPlatform::fetch_runs
-    fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
-        let mut out = Vec::with_capacity(tasks.len());
-        for &t in tasks {
-            out.push(self.fetch_runs(t)?);
-        }
-        Ok(out)
+    /// Fetches all runs collected for a task so far: a
+    /// [`fetch_runs_bulk`](CrowdPlatform::fetch_runs_bulk) request of one,
+    /// so it counts as one API call. Errors if the bulk endpoint does not
+    /// answer with exactly one run list.
+    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
+        one("fetch_runs_bulk", self.fetch_runs_bulk(&[task])?)
     }
 
-    /// True if the task has met its redundancy target.
+    /// Fetches the runs of many tasks in one request, in input order:
+    /// **one** API call served from a single consistent snapshot. If any
+    /// listed task is unknown the whole call fails with
+    /// [`Error::UnknownTask`] and nothing is returned. Fetching an empty
+    /// batch is free and issues no API call.
+    fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>>;
+
+    /// True if the task has met its redundancy target: an
+    /// [`are_complete`](CrowdPlatform::are_complete) request of one, with
+    /// an unknown task mapped to [`Error::UnknownTask`].
     ///
     /// **Status probes are free**: neither `is_complete` nor
-    /// [`are_complete`](CrowdPlatform::are_complete) counts toward
+    /// `are_complete` counts toward
     /// [`api_calls`](CrowdPlatform::api_calls) on any in-process platform
     /// ([`FailingPlatform`](crate::FailingPlatform) does not charge its
     /// budget for them either). `api_calls` measures the paper's sharable
@@ -137,31 +135,17 @@ pub trait CrowdPlatform: Send + Sync {
     /// round-trips in its own client-side ledger
     /// (`ExecutionContext::metrics`), never here. Pinned by the
     /// `status_probes_are_free_on_every_platform` test.
-    fn is_complete(&self, task: TaskId) -> Result<bool>;
+    fn is_complete(&self, task: TaskId) -> Result<bool> {
+        one("are_complete", self.are_complete(&[task])?)?.ok_or(Error::UnknownTask(task))
+    }
 
     /// Reports completion for many tasks in one request, in input order:
     /// `Some(true)` complete, `Some(false)` still open, `None` unknown to
     /// the platform (e.g. the platform restarted and lost it — callers
-    /// use this to decide what to republish).
-    ///
-    /// The default implementation is sequential [`is_complete`] calls,
-    /// mapping [`Error::UnknownTask`] to `None`. Like `is_complete`, the
-    /// in-process platforms do not count this as an API call; a real
-    /// remote adapter would serve it as **one** round-trip, which is why
-    /// the batched pipeline probes completion through this method rather
-    /// than per row.
-    ///
-    /// [`is_complete`]: CrowdPlatform::is_complete
-    fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
-        tasks
-            .iter()
-            .map(|&t| match self.is_complete(t) {
-                Ok(done) => Ok(Some(done)),
-                Err(Error::UnknownTask(_)) => Ok(None),
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
+    /// use this to decide what to republish). Free, like every status
+    /// probe; a real remote adapter would serve it as **one** round-trip,
+    /// which is why the batched pipeline probes completion in bulk.
+    fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>>;
 
     /// Makes internal progress (simulated crowd work). Returns `false` when
     /// there is nothing further to process. Not an API call.
@@ -205,7 +189,7 @@ pub trait CrowdPlatform: Send + Sync {
     /// order — the property the pipelined engine's bit-for-bit determinism
     /// rests on.
     ///
-    /// The default takes the turn around the entire call (correct for any
+    /// The default runs the entire call in the turn (correct for any
     /// platform, no overlap). Latency-bound platforms override it to wait
     /// out the wire time outside the turn. A failed call drops its turn,
     /// which cancels every later slot — a pipelined failure leaves exactly
@@ -217,10 +201,7 @@ pub trait CrowdPlatform: Send + Sync {
         order: &IssueGate,
         slot: u64,
     ) -> Result<Vec<Task>> {
-        let turn = order.turn(slot)?;
-        let out = self.publish_tasks(project, specs)?;
-        turn.complete();
-        Ok(out)
+        order.run(slot, || self.publish_tasks(project, specs))
     }
 
     /// Pipelined bulk fetch: [`fetch_runs_bulk`](CrowdPlatform::fetch_runs_bulk)
@@ -233,10 +214,7 @@ pub trait CrowdPlatform: Send + Sync {
         order: &IssueGate,
         slot: u64,
     ) -> Result<Vec<Vec<TaskRun>>> {
-        let turn = order.turn(slot)?;
-        let out = self.fetch_runs_bulk(tasks)?;
-        turn.complete();
-        Ok(out)
+        order.run(slot, || self.fetch_runs_bulk(tasks))
     }
 
     /// Pipelined bulk status probe: [`are_complete`](CrowdPlatform::are_complete)
@@ -247,10 +225,7 @@ pub trait CrowdPlatform: Send + Sync {
         order: &IssueGate,
         slot: u64,
     ) -> Result<Vec<Option<bool>>> {
-        let turn = order.turn(slot)?;
-        let out = self.are_complete(tasks)?;
-        turn.complete();
-        Ok(out)
+        order.run(slot, || self.are_complete(tasks))
     }
 
     /// Pipelined completion wait:
@@ -265,10 +240,7 @@ pub trait CrowdPlatform: Send + Sync {
         order: &IssueGate,
         slot: u64,
     ) -> Result<()> {
-        let turn = order.turn(slot)?;
-        self.run_until_complete(tasks)?;
-        turn.complete();
-        Ok(())
+        order.run(slot, || self.run_until_complete(tasks))
     }
 
     /// Number of API calls served so far (project creation, publishes,
@@ -284,13 +256,64 @@ mod tests {
     use super::*;
     use crate::mock::MockPlatform;
 
-    /// A platform that deliberately does NOT override the bulk defaults,
-    /// so the trait's sequential fallbacks stay covered.
-    struct NoBulk(MockPlatform);
+    fn specs(n: usize) -> Vec<TaskSpec> {
+        (0..n)
+            .map(|i| TaskSpec { payload: serde_json::json!({ "i": i }), n_assignments: 1 })
+            .collect()
+    }
 
-    impl CrowdPlatform for NoBulk {
+    /// Mock and simulator under one signature, fresh each call.
+    fn platforms() -> [Box<dyn CrowdPlatform>; 2] {
+        [Box::new(MockPlatform::echo()), Box::new(crate::SimPlatform::quick(3, 0.9, 1))]
+    }
+
+    #[test]
+    fn per_row_calls_are_bulk_calls_of_one() {
+        // The same specs one row at a time and in bulk requests of one:
+        // identical tasks, runs and probes, one API call per request.
+        for (rows, bulk) in platforms().into_iter().zip(platforms()) {
+            let name = rows.name().to_string();
+            let (pr, pb) = (rows.create_project("t").unwrap(), bulk.create_project("t").unwrap());
+            let mut tr = Vec::new();
+            let mut tb = Vec::new();
+            for spec in specs(3) {
+                tr.push(rows.publish_task(pr, spec.clone()).unwrap());
+                tb.extend(bulk.publish_tasks(pb, vec![spec]).unwrap());
+            }
+            assert_eq!(tr, tb, "{name}");
+            let ids: Vec<TaskId> = tr.iter().map(|t| t.id).collect();
+            for &id in &ids {
+                assert_eq!(rows.is_complete(id), Ok(false), "{name}");
+                assert_eq!(bulk.are_complete(&[id]).unwrap(), vec![Some(false)], "{name}");
+            }
+            rows.run_until_complete(&ids).unwrap();
+            bulk.run_until_complete(&ids).unwrap();
+            for &id in &ids {
+                assert_eq!(rows.is_complete(id), Ok(true), "{name}");
+                let runs = rows.fetch_runs(id).unwrap();
+                assert_eq!(vec![runs], bulk.fetch_runs_bulk(&[id]).unwrap(), "{name}");
+            }
+            // create (1) + 3 publishes + 3 fetches.
+            assert_eq!(rows.api_calls(), 7, "{name}");
+            assert_eq!(bulk.api_calls(), 7, "{name}");
+            assert_eq!(rows.is_complete(999), Err(Error::UnknownTask(999)), "{name}");
+            assert_eq!(rows.fetch_runs(999), Err(Error::UnknownTask(999)), "{name}");
+        }
+    }
+
+    /// A broken platform whose bulk endpoints answer every request with
+    /// `n` items: copies of the first item the mock returns.
+    struct WrongCount(MockPlatform, usize);
+
+    impl WrongCount {
+        fn repeat<T: Clone>(&self, out: Vec<T>) -> Vec<T> {
+            out.into_iter().take(1).cycle().take(self.1).collect()
+        }
+    }
+
+    impl CrowdPlatform for WrongCount {
         fn name(&self) -> &str {
-            "no-bulk"
+            "wrong-count"
         }
         fn create_project(&self, name: &str) -> Result<ProjectId> {
             self.0.create_project(name)
@@ -298,17 +321,17 @@ mod tests {
         fn project(&self, id: ProjectId) -> Result<Project> {
             self.0.project(id)
         }
-        fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-            self.0.publish_task(project, spec)
+        fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
+            Ok(self.repeat(self.0.publish_tasks(project, specs)?))
         }
         fn task(&self, id: TaskId) -> Result<Task> {
             self.0.task(id)
         }
-        fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-            self.0.fetch_runs(task)
+        fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
+            Ok(self.repeat(self.0.fetch_runs_bulk(tasks)?))
         }
-        fn is_complete(&self, task: TaskId) -> Result<bool> {
-            self.0.is_complete(task)
+        fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
+            Ok(self.repeat(self.0.are_complete(tasks)?))
         }
         fn step(&self) -> Result<bool> {
             self.0.step()
@@ -321,67 +344,24 @@ mod tests {
         }
     }
 
-    fn specs(n: usize) -> Vec<TaskSpec> {
-        (0..n)
-            .map(|i| TaskSpec { payload: serde_json::json!({ "i": i }), n_assignments: 1 })
-            .collect()
-    }
-
     #[test]
-    fn default_publish_tasks_is_sequential() {
-        let p = NoBulk(MockPlatform::echo());
-        let proj = p.create_project("t").unwrap();
-        let tasks = p.publish_tasks(proj, specs(4)).unwrap();
-        assert_eq!(tasks.len(), 4);
-        // ids are distinct and ascending
-        for w in tasks.windows(2) {
-            assert!(w[0].id < w[1].id);
+    fn per_row_defaults_reject_a_bulk_answer_of_zero_or_two() {
+        for n in [0, 2] {
+            let p = WrongCount(MockPlatform::echo(), n);
+            let proj = p.create_project("t").unwrap();
+            let bad = |r: Result<()>| matches!(r, Err(Error::BadResponse(_)));
+            let spec = specs(1).remove(0);
+            assert!(bad(p.publish_task(proj, spec.clone()).map(drop)), "publish, {n} items");
+            let id = p.0.publish_tasks(proj, vec![spec]).unwrap()[0].id;
+            assert!(bad(p.fetch_runs(id).map(drop)), "fetch, {n} items");
+            assert!(bad(p.is_complete(id).map(drop)), "probe, {n} items");
         }
-        // The fallback pays one API call per spec (plus project creation).
-        assert_eq!(p.api_calls(), 5);
-    }
-
-    #[test]
-    fn default_fetch_runs_bulk_is_sequential() {
-        let p = NoBulk(MockPlatform::echo());
-        let proj = p.create_project("t").unwrap();
-        let tasks = p.publish_tasks(proj, specs(3)).unwrap();
-        let ids: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
-        p.run_until_complete(&ids).unwrap();
-        let before = p.api_calls();
-        let runs = p.fetch_runs_bulk(&ids).unwrap();
-        assert_eq!(runs.len(), 3);
-        assert!(runs.iter().all(|r| r.len() == 1));
-        assert_eq!(p.api_calls() - before, 3, "fallback = one call per task");
-    }
-
-    #[test]
-    fn bulk_overrides_equal_sequential_but_one_call() {
-        // Same specs through the sequential fallback and the native bulk
-        // endpoint: identical tasks and runs, different API-call counts.
-        let seq = NoBulk(MockPlatform::echo());
-        let bulk = MockPlatform::echo();
-        let (ps, pb) = (seq.create_project("t").unwrap(), bulk.create_project("t").unwrap());
-        let ts = seq.publish_tasks(ps, specs(5)).unwrap();
-        let tb = bulk.publish_tasks(pb, specs(5)).unwrap();
-        assert_eq!(ts, tb, "bulk publish must register identical tasks");
-        let ids: Vec<TaskId> = ts.iter().map(|t| t.id).collect();
-        seq.run_until_complete(&ids).unwrap();
-        bulk.run_until_complete(&ids).unwrap();
-        assert_eq!(seq.fetch_runs_bulk(&ids).unwrap(), bulk.fetch_runs_bulk(&ids).unwrap());
-        // create(1) + publishes + fetches: 1+5+5 vs 1+1+1.
-        assert_eq!(seq.api_calls(), 11);
-        assert_eq!(bulk.api_calls(), 3);
     }
 
     #[test]
     fn are_complete_maps_unknown_to_none() {
-        // Both the sequential default and the mock's native override must
-        // agree: Some(done) for known tasks, None for unknown ids.
-        for p in [
-            Box::new(NoBulk(MockPlatform::echo())) as Box<dyn CrowdPlatform>,
-            Box::new(MockPlatform::echo()),
-        ] {
+        // Some(done) for known tasks, None for unknown ids.
+        for p in platforms() {
             let proj = p.create_project("t").unwrap();
             let tasks = p.publish_tasks(proj, specs(2)).unwrap();
             p.run_until_complete(&[tasks[0].id]).unwrap();

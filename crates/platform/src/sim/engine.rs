@@ -322,24 +322,12 @@ impl CrowdPlatform for SimPlatform {
         self.world.lock().projects.get(&id).cloned().ok_or(Error::UnknownProject(id))
     }
 
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-        self.bump();
-        self.validate_spec(&spec)?;
-        let mut w = self.world.lock();
-        if !w.projects.contains_key(&project) {
-            return Err(Error::UnknownProject(project));
-        }
-        Ok(w.place(project, spec))
-    }
-
-    /// Native bulk publish: one API call, atomic.
+    /// One API call, atomic.
     ///
     /// Every spec is validated before any task is registered, so an invalid
     /// spec rejects the whole batch. Registered tasks are identical (ids,
-    /// payloads, timestamps) to what sequential [`publish_task`] calls
-    /// would have produced — only the API-call accounting differs.
-    ///
-    /// [`publish_task`]: CrowdPlatform::publish_task
+    /// payloads, timestamps) however the specs are split into batches —
+    /// only the API-call accounting differs.
     fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
         if specs.is_empty() {
             return Ok(Vec::new());
@@ -360,13 +348,8 @@ impl CrowdPlatform for SimPlatform {
         self.world.lock().tasks.get(&id).cloned().ok_or(Error::UnknownTask(id))
     }
 
-    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-        self.bump();
-        self.world.lock().runs.get(&task).cloned().ok_or(Error::UnknownTask(task))
-    }
-
-    /// Native bulk fetch: one API call serving every task from a single
-    /// consistent snapshot. An unknown id fails the whole call.
+    /// One API call serving every task from a single consistent snapshot.
+    /// An unknown id fails the whole call.
     fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
         if tasks.is_empty() {
             return Ok(Vec::new());
@@ -376,17 +359,9 @@ impl CrowdPlatform for SimPlatform {
         tasks.iter().map(|&t| w.runs.get(&t).cloned().ok_or(Error::UnknownTask(t))).collect()
     }
 
-    /// Status probes are **free** — no API-call bump — on every in-process
-    /// platform; see the trait-level contract on
-    /// [`is_complete`](CrowdPlatform::is_complete).
-    fn is_complete(&self, task: TaskId) -> Result<bool> {
-        let w = self.world.lock();
-        let t = w.tasks.get(&task).ok_or(Error::UnknownTask(task))?;
-        Ok(t.status == TaskStatus::Completed)
-    }
-
-    /// Native bulk status probe: one consistent snapshot. Free, like
-    /// [`is_complete`](CrowdPlatform::is_complete).
+    /// One consistent snapshot. Status probes are **free** — no API-call
+    /// bump — on every in-process platform; see the trait-level contract
+    /// on [`is_complete`](CrowdPlatform::is_complete).
     fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
         Ok(self.world.lock().are_complete(tasks))
     }

@@ -326,19 +326,17 @@ fn crash_mid_stream_resumes_from_the_committed_prefix() {
 fn segmented_database_reruns_with_zero_platform_calls() {
     let path = tmp("segmented.rwlog");
     let platform = Arc::new(SimPlatform::quick(6, 0.9, 2025));
-    let config = || {
-        ExecutionConfig::with_batch_size(5)
-            .with_segment_policy(SegmentPolicy::new(512, 1.0))
+    let open = || DiskStore::open_with(&path, SyncPolicy::Always, SegmentPolicy::new(512, 1.0));
+    let context = || {
+        reprowd::core::CrowdContext::with_config(
+            Arc::clone(&platform) as Arc<dyn CrowdPlatform>,
+            Arc::new(open().unwrap()),
+            ExecutionConfig::with_batch_size(5),
+        )
     };
 
     let first_mv = {
-        let cc = reprowd::core::CrowdContext::on_disk_with(
-            Arc::clone(&platform) as Arc<dyn CrowdPlatform>,
-            &path,
-            SyncPolicy::Always,
-            config(),
-        )
-        .unwrap();
+        let cc = context().unwrap();
         let cd = pipeline(&cc, 20);
         // The tiny policy really sharded the database into many segments.
         assert!(cc.backend().stats().segments > 2, "stats: {:?}", cc.backend().stats());
@@ -349,20 +347,13 @@ fn segmented_database_reruns_with_zero_platform_calls() {
     // Compact between the crash and the rerun — recovery must read the
     // rewritten segments, not the original log.
     {
-        let store =
-            DiskStore::open_with(&path, SyncPolicy::Always, config().segment_policy).unwrap();
+        let store = open().unwrap();
         assert!(store.recovery_report().segments > 2);
         store.compact().unwrap();
     }
 
     let calls_before_rerun = platform.api_calls();
-    let cc = reprowd::core::CrowdContext::on_disk_with(
-        Arc::clone(&platform) as Arc<dyn CrowdPlatform>,
-        &path,
-        SyncPolicy::Always,
-        config(),
-    )
-    .unwrap();
+    let cc = context().unwrap();
     let cd = pipeline(&cc, 20);
     assert_eq!(
         platform.api_calls(),
@@ -404,11 +395,10 @@ fn legacy_single_file_database_still_shares_after_migration() {
     }
 
     let calls = platform.api_calls();
-    let cc = reprowd::core::CrowdContext::on_disk_with(
+    let store = DiskStore::open_with(&path, SyncPolicy::Always, SegmentPolicy::new(512, 1.0));
+    let cc = reprowd::core::CrowdContext::new(
         Arc::clone(&platform) as Arc<dyn CrowdPlatform>,
-        &path,
-        SyncPolicy::Always,
-        ExecutionConfig::default().with_segment_policy(SegmentPolicy::new(512, 1.0)),
+        Arc::new(store.unwrap()),
     )
     .unwrap();
     let cd = pipeline(&cc, 10);
@@ -480,9 +470,6 @@ mod panic_on_publish {
         fn project(&self, id: ProjectId) -> Result<Project> {
             self.inner.project(id)
         }
-        fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-            self.inner.publish_task(project, spec)
-        }
         fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
             assert!(self.publishes.fetch_add(1, Ordering::SeqCst) != self.at, "adapter bug");
             self.inner.publish_tasks(project, specs)
@@ -490,11 +477,11 @@ mod panic_on_publish {
         fn task(&self, id: TaskId) -> Result<Task> {
             self.inner.task(id)
         }
-        fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-            self.inner.fetch_runs(task)
+        fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
+            self.inner.fetch_runs_bulk(tasks)
         }
-        fn is_complete(&self, task: TaskId) -> Result<bool> {
-            self.inner.is_complete(task)
+        fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
+            self.inner.are_complete(tasks)
         }
         fn step(&self) -> Result<bool> {
             self.inner.step()
