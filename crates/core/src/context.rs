@@ -4,7 +4,7 @@
 
 use crate::crowddata::CrowdData;
 use crate::error::{Error, Result};
-use crate::exec::{BatchMetricsSnapshot, ExecutionConfig, ExecutionContext};
+use crate::exec::{BatchMetrics, BatchMetricsSnapshot, ExecutionConfig};
 use crate::store::{ExperimentStore, Manifest};
 use reprowd_platform::{CrowdPlatform, SimPlatform};
 use reprowd_storage::{Backend, Batch, DiskStore, MemoryStore, SyncPolicy};
@@ -24,16 +24,21 @@ pub(crate) fn validate_experiment_name(name: &str) -> Result<()> {
 }
 
 /// The session object: platform + database + the experiment tables, plus
-/// the [`ExecutionContext`] that batches their traffic.
+/// the [`ExecutionConfig`] that batches their traffic and the
+/// [`BatchMetrics`] ledger of every round-trip it issued.
 ///
-/// Cloning is cheap (all `Arc`s); a context can be shared across operator
-/// pipelines and threads.
+/// Cloning is cheap (`Arc`s and two integers); a context can be shared
+/// across operator pipelines and threads. Clones, and copies re-tuned with
+/// [`with_batch_size`](CrowdContext::with_batch_size) or
+/// [`with_inflight_batches`](CrowdContext::with_inflight_batches), share
+/// one ledger.
 #[derive(Clone)]
 pub struct CrowdContext {
     platform: Arc<dyn CrowdPlatform>,
     backend: Arc<dyn Backend>,
     store: Arc<ExperimentStore>,
-    exec: ExecutionContext,
+    config: ExecutionConfig,
+    metrics: Arc<BatchMetrics>,
 }
 
 impl CrowdContext {
@@ -49,18 +54,16 @@ impl CrowdContext {
         backend: Arc<dyn Backend>,
         config: ExecutionConfig,
     ) -> Result<Self> {
+        config.validate()?;
         let store = Arc::new(ExperimentStore::open(Arc::clone(&backend))?);
-        let exec = ExecutionContext::new(config)?;
-        Ok(CrowdContext { platform, backend, store, exec })
+        Ok(CrowdContext { platform, backend, store, config, metrics: Arc::default() })
     }
 
     /// A copy of this context using `batch_size` rows per platform
     /// round-trip. Shares the platform, database, and batch metrics with
     /// `self`; errors if `batch_size` is 0.
     pub fn with_batch_size(&self, batch_size: usize) -> Result<Self> {
-        let mut cc = self.clone();
-        cc.exec = self.exec.retuned(batch_size)?;
-        Ok(cc)
+        self.retune(ExecutionConfig { batch_size, ..self.config.clone() })
     }
 
     /// A copy of this context keeping `depth` batch round-trips in flight
@@ -69,12 +72,14 @@ impl CrowdContext {
     /// Depth is a pure wall-clock knob: results are bit-identical at
     /// every setting.
     pub fn with_inflight_batches(&self, depth: usize) -> Result<Self> {
-        let mut cc = self.clone();
-        cc.exec = self.exec.retuned_config(ExecutionConfig {
-            inflight_batches: depth,
-            ..self.exec.config().clone()
-        })?;
-        Ok(cc)
+        self.retune(self.config.clone().with_inflight_batches(depth))
+    }
+
+    /// A copy of this context under `config`, sharing everything else
+    /// (the batch metrics included); errors if `config` is invalid.
+    fn retune(&self, config: ExecutionConfig) -> Result<Self> {
+        config.validate()?;
+        Ok(CrowdContext { config, ..self.clone() })
     }
 
     /// A context over a simulated crowd (5 workers, ability 0.85) and an
@@ -176,15 +181,15 @@ impl CrowdContext {
         &self.platform
     }
 
-    /// The execution policy + metrics threaded through `publish`/`collect`.
-    pub fn exec(&self) -> &ExecutionContext {
-        &self.exec
+    /// The execution policy threaded through `publish`/`collect`.
+    pub fn config(&self) -> &ExecutionConfig {
+        &self.config
     }
 
     /// Rows per platform round-trip (see
     /// [`ExecutionConfig::batch_size`]).
     pub fn batch_size(&self) -> usize {
-        self.exec.batch_size()
+        self.config.batch_size
     }
 
     /// A snapshot of the round-trip counters accumulated by this context
@@ -192,7 +197,12 @@ impl CrowdContext {
     ///
     /// [`with_batch_size`]: CrowdContext::with_batch_size
     pub fn batch_metrics(&self) -> BatchMetricsSnapshot {
-        self.exec.metrics().snapshot()
+        self.metrics.snapshot()
+    }
+
+    /// The shared round-trip ledger the pipeline records into.
+    pub(crate) fn metrics(&self) -> &BatchMetrics {
+        &self.metrics
     }
 
     /// The raw database backend (snapshots, stats).

@@ -844,11 +844,10 @@ mod tests {
     #[test]
     fn bulk_contract_violation_is_an_error_not_truncation() {
         use reprowd_platform::types::{Project, ProjectId, SimTime, Task, TaskId, TaskRun};
-        use reprowd_platform::MockPlatform;
 
         /// A misbehaving platform whose bulk publish drops the last task
         /// (the "partial accept" some real bulk APIs perform).
-        struct ShortBulk(MockPlatform);
+        struct ShortBulk(SimPlatform);
 
         impl CrowdPlatform for ShortBulk {
             fn name(&self) -> &str {
@@ -887,6 +886,9 @@ mod tests {
             fn step(&self) -> reprowd_platform::Result<bool> {
                 self.0.step()
             }
+            fn run_until_complete(&self, tasks: &[TaskId]) -> reprowd_platform::Result<()> {
+                self.0.run_until_complete(tasks)
+            }
             fn api_calls(&self) -> u64 {
                 self.0.api_calls()
             }
@@ -896,7 +898,8 @@ mod tests {
         }
 
         let backend: Arc<dyn Backend> = Arc::new(MemoryStore::new());
-        let cc = CrowdContext::new(Arc::new(ShortBulk(MockPlatform::echo())), backend).unwrap();
+        let platform = Arc::new(ShortBulk(SimPlatform::quick(3, 0.9, 1)));
+        let cc = CrowdContext::new(platform, backend).unwrap();
         let err = cc
             .crowddata("short")
             .unwrap()

@@ -5,10 +5,10 @@
 //! row at a time: rows that miss the cache are partitioned into chunks of
 //! [`ExecutionConfig::batch_size`] and each chunk becomes **one** platform
 //! round-trip (bulk publish or bulk fetch) followed by **one** atomic
-//! database write. The [`ExecutionContext`] carries that policy plus the
-//! [`BatchMetrics`] accounting of every round-trip issued, so experiments
-//! can assert round-trip counts directly instead of inferring them from
-//! platform internals.
+//! database write. A [`CrowdContext`](crate::CrowdContext) carries that
+//! policy plus the [`BatchMetrics`] accounting of every round-trip issued,
+//! so experiments can assert round-trip counts directly instead of
+//! inferring them from platform internals.
 //!
 //! Batch size is a pure performance knob: collected results are
 //! bit-identical for every batch size (see
@@ -19,7 +19,6 @@
 
 use crate::error::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Default number of rows per platform round-trip.
 ///
@@ -204,69 +203,16 @@ impl BatchMetricsSnapshot {
     }
 }
 
-/// Execution policy + metrics, owned by a
-/// [`CrowdContext`](crate::CrowdContext) and threaded through every
-/// `publish`/`collect` it runs.
-///
-/// Clones share the metrics (one ledger per context lineage) but carry
-/// their own copy of the config, which is how
-/// [`CrowdContext::with_batch_size`](crate::CrowdContext::with_batch_size)
-/// derives a re-tuned context without forking the accounting.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutionContext {
-    config: ExecutionConfig,
-    metrics: Arc<BatchMetrics>,
-}
-
-impl ExecutionContext {
-    /// Builds an execution context from a validated config.
-    pub fn new(config: ExecutionConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(ExecutionContext { config, metrics: Arc::default() })
-    }
-
-    /// A copy with a different batch size (every other policy knob is
-    /// kept), sharing this context's metrics.
-    pub fn retuned(&self, batch_size: usize) -> Result<Self> {
-        self.retuned_config(ExecutionConfig { batch_size, ..self.config.clone() })
-    }
-
-    /// A copy with an arbitrary re-tuned config, sharing this context's
-    /// metrics (one ledger per context lineage).
-    pub fn retuned_config(&self, config: ExecutionConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(ExecutionContext { config, metrics: Arc::clone(&self.metrics) })
-    }
-
-    /// Rows per platform round-trip.
-    pub fn batch_size(&self) -> usize {
-        self.config.batch_size
-    }
-
-    /// Batch round-trips kept in flight at once.
-    pub fn inflight_batches(&self) -> usize {
-        self.config.inflight_batches
-    }
-
-    /// The active config.
-    pub fn config(&self) -> &ExecutionConfig {
-        &self.config
-    }
-
-    /// The shared round-trip ledger.
-    pub fn metrics(&self) -> &BatchMetrics {
-        &self.metrics
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CrowdContext;
 
     #[test]
     fn zero_batch_size_rejected() {
-        assert!(ExecutionContext::new(ExecutionConfig::with_batch_size(0)).is_err());
-        assert!(ExecutionContext::default().retuned(0).is_err());
+        let bad = ExecutionConfig::with_batch_size(0);
+        assert!(CrowdContext::in_memory_sim_with(1, bad).is_err());
+        assert!(CrowdContext::in_memory_sim(1).with_batch_size(0).is_err());
         assert!(ExecutionConfig::default().validate().is_ok());
     }
 
@@ -274,26 +220,38 @@ mod tests {
     fn zero_inflight_batches_rejected_and_retuning_preserves_depth() {
         assert!(ExecutionConfig::default().with_inflight_batches(0).validate().is_err());
         assert_eq!(ExecutionConfig::default().inflight_batches, DEFAULT_INFLIGHT_BATCHES);
-        let ec = ExecutionContext::new(
-            ExecutionConfig::with_batch_size(7).with_inflight_batches(2),
-        )
-        .unwrap();
-        assert_eq!(ec.inflight_batches(), 2);
+        let config = ExecutionConfig::with_batch_size(7).with_inflight_batches(2);
+        let cc = CrowdContext::in_memory_sim_with(1, config).unwrap();
+        assert_eq!(cc.config().inflight_batches, 2);
+        assert!(cc.with_inflight_batches(0).is_err());
         // Re-tuning the batch size keeps the depth (and vice versa).
-        assert_eq!(ec.retuned(3).unwrap().inflight_batches(), 2);
-        let deeper = ec
-            .retuned_config(ExecutionConfig { inflight_batches: 8, ..ec.config().clone() })
-            .unwrap();
+        assert_eq!(cc.with_batch_size(3).unwrap().config().inflight_batches, 2);
+        let deeper = cc.with_inflight_batches(8).unwrap();
         assert_eq!(deeper.batch_size(), 7);
-        assert_eq!(deeper.inflight_batches(), 8);
+        assert_eq!(deeper.config().inflight_batches, 8);
     }
 
     #[test]
     fn retuning_preserves_other_knobs() {
         let config = ExecutionConfig::with_batch_size(7).with_inflight_batches(3);
-        let re = ExecutionContext::new(config.clone()).unwrap().retuned(2).unwrap();
+        let cc = CrowdContext::in_memory_sim_with(1, config.clone()).unwrap();
+        let re = cc.with_batch_size(2).unwrap();
         assert_eq!(re.batch_size(), 2);
         assert_eq!(*re.config(), ExecutionConfig { batch_size: 2, ..config });
+    }
+
+    #[test]
+    fn retuned_shares_metrics() {
+        let a = CrowdContext::in_memory_sim_with(1, ExecutionConfig::with_batch_size(7)).unwrap();
+        let b = a.with_batch_size(3).unwrap();
+        assert_eq!(a.batch_size(), 7);
+        assert_eq!(b.batch_size(), 3);
+        a.metrics().record_publish(5);
+        b.metrics().record_fetch(5);
+        let snap = a.batch_metrics();
+        assert_eq!(snap, b.batch_metrics());
+        assert_eq!(snap.publish_calls, 1);
+        assert_eq!(snap.fetch_rows, 5);
     }
 
     #[test]
@@ -308,20 +266,6 @@ mod tests {
         assert_eq!(snap.probe_rows, 20);
         // Probes never inflate the crowd-work round-trip count.
         assert_eq!(snap.round_trips(), 2);
-    }
-
-    #[test]
-    fn retuned_shares_metrics() {
-        let a = ExecutionContext::new(ExecutionConfig::with_batch_size(7)).unwrap();
-        let b = a.retuned(3).unwrap();
-        assert_eq!(a.batch_size(), 7);
-        assert_eq!(b.batch_size(), 3);
-        a.metrics().record_publish(5);
-        b.metrics().record_fetch(5);
-        let snap = a.metrics().snapshot();
-        assert_eq!(snap, b.metrics().snapshot());
-        assert_eq!(snap.publish_calls, 1);
-        assert_eq!(snap.fetch_rows, 5);
     }
 
     #[test]

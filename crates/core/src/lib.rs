@@ -58,7 +58,7 @@ pub mod value;
 pub use context::CrowdContext;
 pub use crowddata::CrowdData;
 pub use error::{Error, Result};
-pub use exec::{BatchMetrics, BatchMetricsSnapshot, ExecutionConfig, ExecutionContext};
+pub use exec::{BatchMetrics, BatchMetricsSnapshot, ExecutionConfig};
 pub use lineage::{CellLineage, Derivation};
 pub use pipeline::{majority_answer, run_stream, StreamReport, StreamSpec, StreamedRow};
 pub use presenter::Presenter;

@@ -458,7 +458,7 @@ impl<'a> Lifecycle<'a> {
     /// (one atomic batch each), meters the round-trips that produced them
     /// and folds what happened to each lane into `stats`.
     fn commit(&self, lanes: &mut [Lane], stats: &mut RunStats) -> Result<()> {
-        let metrics = self.cc.exec().metrics();
+        let metrics = self.cc.metrics();
         let probed = lanes.iter().filter(|lane| lane.did.probed).count() as u64;
         if probed > 0 {
             metrics.record_probe(probed);
@@ -513,14 +513,14 @@ impl<'a> Lifecycle<'a> {
         legs: impl Fn(&mut [Lane], &IssueGate, u64) -> Result<()> + Sync,
         mut sink: impl FnMut(Lane) -> Result<()>,
     ) -> Result<StreamReport> {
-        let batch_size = self.cc.exec().batch_size();
+        let batch_size = self.cc.config().batch_size;
         let gate = IssueGate::new();
         let inflight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let mut report = StreamReport::default();
         let mut lanes = lanes;
         run_windowed(
-            self.cc.exec().inflight_batches(),
+            self.cc.config().inflight_batches,
             slots,
             &gate,
             |_k| {

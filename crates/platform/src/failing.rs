@@ -14,8 +14,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Wraps a platform; API calls beyond `budget` fail with
-/// [`Error::Injected`]. `step` and reads of the clock never fail — the
-/// crash is the *client's* crash, not the crowd's.
+/// [`Error::Injected`]. `step`, the wait, status probes and reads of the
+/// clock never fail — the crash is the *client's* crash, not the crowd's.
 ///
 /// The budget is one atomic counter, decremented with a single
 /// compare-and-swap per charged call, so concurrent in-flight batches (the
@@ -114,6 +114,12 @@ impl<P: CrowdPlatform> CrowdPlatform for FailingPlatform<P> {
         self.inner.step()
     }
 
+    /// Waiting drives the crowd, not the client: forwarded uncharged, like
+    /// [`step`](CrowdPlatform::step) and the status probes.
+    fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
+        self.inner.run_until_complete(tasks)
+    }
+
     fn api_calls(&self) -> u64 {
         self.inner.api_calls()
     }
@@ -126,11 +132,15 @@ impl<P: CrowdPlatform> CrowdPlatform for FailingPlatform<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mock::MockPlatform;
+    use crate::SimPlatform;
+
+    fn sim() -> Arc<SimPlatform> {
+        Arc::new(SimPlatform::quick(3, 0.9, 1))
+    }
 
     #[test]
     fn fails_after_budget() {
-        let p = FailingPlatform::new(Arc::new(MockPlatform::echo()), 3);
+        let p = FailingPlatform::new(sim(), 3);
         let proj = p.create_project("x").unwrap(); // 1
         let spec = || TaskSpec { payload: serde_json::json!(1), n_assignments: 1 };
         p.publish_task(proj, spec()).unwrap(); // 2
@@ -145,7 +155,7 @@ mod tests {
         // Publishing 6 tasks in batches of 2 with budget 1+2: the project
         // plus two whole batches land; the third batch fails. Exactly the
         // crash-between-batches scenario the batched pipeline recovers from.
-        let inner = Arc::new(MockPlatform::echo());
+        let inner = sim();
         let p = FailingPlatform::new(Arc::clone(&inner), 3);
         let proj = p.create_project("x").unwrap();
         let spec = |i: i32| TaskSpec { payload: serde_json::json!(i), n_assignments: 1 };
@@ -160,7 +170,7 @@ mod tests {
 
     #[test]
     fn bulk_ops_cost_one_budget_unit_each() {
-        let inner = Arc::new(MockPlatform::echo());
+        let inner = sim();
         let p = FailingPlatform::new(Arc::clone(&inner), 2);
         let proj = p.create_project("x").unwrap(); // 1 unit
         let specs: Vec<TaskSpec> = (0..10)
@@ -180,7 +190,7 @@ mod tests {
 
     #[test]
     fn reset_budget_resumes() {
-        let p = FailingPlatform::new(Arc::new(MockPlatform::echo()), 1);
+        let p = FailingPlatform::new(sim(), 1);
         let proj = p.create_project("x").unwrap();
         assert!(p
             .publish_task(proj, TaskSpec { payload: serde_json::json!(1), n_assignments: 1 })
@@ -197,7 +207,7 @@ mod tests {
         // (after create): exactly 9 must succeed, the rest must all see
         // the injected fault, and the counter must end exactly at zero.
         use std::sync::atomic::AtomicUsize;
-        let inner = Arc::new(MockPlatform::echo());
+        let inner = sim();
         let p = FailingPlatform::new(Arc::clone(&inner), 10);
         let proj = p.create_project("x").unwrap(); // spends 1
         let ok = AtomicUsize::new(0);
@@ -237,7 +247,7 @@ mod tests {
         // every thread interleaving.
         use crate::gate::IssueGate;
         for _round in 0..8 {
-            let inner = Arc::new(MockPlatform::echo());
+            let inner = sim();
             let p = FailingPlatform::new(Arc::clone(&inner), 4);
             let proj = p.create_project("x").unwrap();
             let gate = IssueGate::new();
@@ -279,8 +289,9 @@ mod tests {
 
     #[test]
     fn step_and_clock_never_charged() {
-        let p = FailingPlatform::new(Arc::new(MockPlatform::echo()), 0);
+        let p = FailingPlatform::new(sim(), 0);
         assert!(!p.step().unwrap());
+        p.run_until_complete(&[]).unwrap();
         let _ = p.now();
         assert_eq!(p.remaining(), 0);
     }

@@ -188,8 +188,12 @@ impl<P: CrowdPlatform> CrowdPlatform for LatencyPlatform<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mock::MockPlatform;
+    use crate::SimPlatform;
     use std::time::Instant;
+
+    fn sim() -> SimPlatform {
+        SimPlatform::quick(3, 0.9, 1)
+    }
 
     fn specs(n: usize) -> Vec<TaskSpec> {
         (0..n)
@@ -200,8 +204,8 @@ mod tests {
     #[test]
     fn results_identical_to_inner_and_calls_delegate() {
         let rtt = Duration::from_millis(1);
-        let lat = LatencyPlatform::new(Arc::new(MockPlatform::echo()), rtt);
-        let bare = MockPlatform::echo();
+        let lat = LatencyPlatform::new(Arc::new(sim()), rtt);
+        let bare = sim();
         let (pl, pb) = (lat.create_project("t").unwrap(), bare.create_project("t").unwrap());
         let tl = lat.publish_tasks(pl, specs(3)).unwrap();
         let tb = bare.publish_tasks(pb, specs(3)).unwrap();
@@ -220,7 +224,7 @@ mod tests {
         // would be ≥ 100ms; overlapped it is ~25ms + scheduling. The ids
         // must still come out in slot order (batch 0 gets the lowest ids).
         let rtt = Duration::from_millis(25);
-        let lat = LatencyPlatform::new(Arc::new(MockPlatform::echo()), rtt);
+        let lat = LatencyPlatform::new(Arc::new(sim()), rtt);
         let proj = lat.create_project("t").unwrap();
         let gate = IssueGate::new();
         let start = Instant::now();
@@ -248,7 +252,7 @@ mod tests {
 
     #[test]
     fn empty_bulk_requests_are_free_but_advance_the_slot() {
-        let lat = LatencyPlatform::new(Arc::new(MockPlatform::echo()), Duration::from_secs(5));
+        let lat = LatencyPlatform::new(Arc::new(sim()), Duration::from_secs(5));
         let gate = IssueGate::new();
         let start = Instant::now();
         assert!(lat.fetch_runs_bulk(&[]).unwrap().is_empty());

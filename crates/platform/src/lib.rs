@@ -17,10 +17,12 @@
 //! * [`platform`] — the [`CrowdPlatform`] trait the client library codes
 //!   against. API-call counting is built in because the paper's headline
 //!   property ("rerunning issues no new crowd work") is measured in calls.
-//! * [`sim`] — the simulator: worker pools with per-worker ability, bias,
-//!   latency and abandonment ([`sim::worker`]), ground-truth-driven answer
-//!   models ([`sim::answer`]), and a seeded event loop ([`sim::engine`]).
-//! * [`mock`] — a scriptable platform for unit tests.
+//!   The bulk endpoints and the completion wait are required methods.
+//! * [`sim`] — the simulator, the one in-process crowd: worker pools with
+//!   per-worker ability, bias, latency and abandonment ([`sim::worker`]),
+//!   ground-truth-driven answer models ([`sim::answer`]; a payload without
+//!   a model is answered with an echo), and a seeded event loop
+//!   ([`sim::engine`]) that owns the only drain-then-check wait.
 //! * [`failing`] — a fault-injection wrapper that fails after a budget of
 //!   calls, used by the crash-recovery experiments (E4).
 //! * [`gate`] — the ordered-issue sequencer behind the pipelined execution
@@ -40,7 +42,6 @@ pub mod error;
 pub mod failing;
 pub mod gate;
 pub mod latency;
-pub mod mock;
 pub mod platform;
 pub mod sim;
 pub mod types;
@@ -49,7 +50,6 @@ pub use error::{Error, Result};
 pub use failing::FailingPlatform;
 pub use gate::{IssueGate, IssueTurn};
 pub use latency::LatencyPlatform;
-pub use mock::MockPlatform;
 pub use platform::CrowdPlatform;
 pub use sim::answer::AnswerModel;
 pub use sim::engine::{SimConfig, SimPlatform};

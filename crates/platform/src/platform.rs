@@ -20,27 +20,13 @@
 //!   endpoints bill (status probes stay free). There is no sequential
 //!   fallback: the per-row `publish_task`, `fetch_runs` and `is_complete`
 //!   are defaults that make a bulk request of one, so every platform
-//!   implements each effect exactly once.
+//!   implements each effect exactly once. The completion wait
+//!   ([`CrowdPlatform::run_until_complete`]) is required too: the
+//!   simulator owns the one drain loop and wrappers forward to it.
 
 use crate::error::{Error, Result};
 use crate::gate::IssueGate;
 use crate::types::{Project, ProjectId, SimTime, Task, TaskId, TaskRun, TaskSpec};
-
-/// Counts how many of `tasks` are still open given an
-/// [`are_complete`](CrowdPlatform::are_complete) status vector, failing
-/// with [`Error::UnknownTask`] on ids the platform does not know. Shared
-/// by the trait's default driver and platform-specific overrides.
-pub(crate) fn still_open(tasks: &[TaskId], status: &[Option<bool>]) -> Result<usize> {
-    let mut open = 0;
-    for (i, st) in status.iter().enumerate() {
-        match st {
-            None => return Err(Error::UnknownTask(tasks[i])),
-            Some(false) => open += 1,
-            Some(true) => {}
-        }
-    }
-    Ok(open)
-}
 
 /// The only item of a bulk response to a request of one, or
 /// [`Error::BadResponse`] if the endpoint `op` answered with any other
@@ -133,7 +119,7 @@ pub trait CrowdPlatform: Send + Sync {
     /// real remote adapter still pays wall-clock round-trips to poll, which
     /// is why the batched pipeline probes per batch and meters those
     /// round-trips in its own client-side ledger
-    /// (`ExecutionContext::metrics`), never here. Pinned by the
+    /// (`CrowdContext::batch_metrics`), never here. Pinned by the
     /// `status_probes_are_free_on_every_platform` test.
     fn is_complete(&self, task: TaskId) -> Result<bool> {
         one("are_complete", self.are_complete(&[task])?)?.ok_or(Error::UnknownTask(task))
@@ -156,31 +142,17 @@ pub trait CrowdPlatform: Send + Sync {
     /// quiescent with listed tasks still open, and with
     /// [`Error::UnknownTask`] if a listed task does not exist.
     ///
-    /// The default drains to quiescence — one completion probe, then
-    /// `step` until it returns `false`, then one final probe — instead of
-    /// re-probing every listed task per step, which made driving n tasks
-    /// O(n·steps). Unlike that historical per-step loop, draining may
-    /// progress *unlisted* open tasks past the point where the listed ones
-    /// complete; this never changes already-completed tasks (their runs
-    /// are immutable), only how far still-open ones have advanced when the
-    /// call returns. Platforms may override this with a faster driver
-    /// ([`SimPlatform`] drains under one lock acquisition instead of one
-    /// per event).
+    /// Required, with no default: the one drain-then-check driver lives in
+    /// [`SimPlatform`], which probes once, drains its event loop to
+    /// quiescence under one lock acquisition, and probes again. Draining
+    /// may progress *unlisted* open tasks past the point where the listed
+    /// ones complete; this never changes already-completed tasks (their
+    /// runs are immutable), only how far still-open ones have advanced
+    /// when the call returns. Wrappers forward the wait to the platform
+    /// they wrap.
     ///
     /// [`SimPlatform`]: crate::SimPlatform
-    fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
-        if still_open(tasks, &self.are_complete(tasks)?)? == 0 {
-            return Ok(());
-        }
-        while self.step()? {}
-        let open = still_open(tasks, &self.are_complete(tasks)?)?;
-        if open > 0 {
-            return Err(Error::Starved(format!(
-                "no further progress possible with {open} tasks still open"
-            )));
-        }
-        Ok(())
-    }
+    fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()>;
 
     /// Pipelined bulk publish: [`publish_tasks`](CrowdPlatform::publish_tasks)
     /// whose *effect* (id allocation, registration, accounting) is
@@ -254,7 +226,9 @@ pub trait CrowdPlatform: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mock::MockPlatform;
+    use crate::{FailingPlatform, LatencyPlatform, SimPlatform};
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn specs(n: usize) -> Vec<TaskSpec> {
         (0..n)
@@ -262,9 +236,19 @@ mod tests {
             .collect()
     }
 
-    /// Mock and simulator under one signature, fresh each call.
-    fn platforms() -> [Box<dyn CrowdPlatform>; 2] {
-        [Box::new(MockPlatform::echo()), Box::new(crate::SimPlatform::quick(3, 0.9, 1))]
+    fn sim() -> SimPlatform {
+        SimPlatform::quick(3, 0.9, 1)
+    }
+
+    /// Every in-tree stack under one signature, fresh and seeded alike
+    /// each call: the simulator bare, behind the fault-injection wrapper,
+    /// and behind the latency wrapper at zero round-trip time.
+    fn platforms() -> [Box<dyn CrowdPlatform>; 3] {
+        [
+            Box::new(sim()),
+            Box::new(FailingPlatform::new(Arc::new(sim()), u64::MAX)),
+            Box::new(LatencyPlatform::new(Arc::new(sim()), Duration::ZERO)),
+        ]
     }
 
     #[test]
@@ -302,8 +286,8 @@ mod tests {
     }
 
     /// A broken platform whose bulk endpoints answer every request with
-    /// `n` items: copies of the first item the mock returns.
-    struct WrongCount(MockPlatform, usize);
+    /// `n` items: copies of the first item the simulator returns.
+    struct WrongCount(SimPlatform, usize);
 
     impl WrongCount {
         fn repeat<T: Clone>(&self, out: Vec<T>) -> Vec<T> {
@@ -336,6 +320,9 @@ mod tests {
         fn step(&self) -> Result<bool> {
             self.0.step()
         }
+        fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
+            self.0.run_until_complete(tasks)
+        }
         fn api_calls(&self) -> u64 {
             self.0.api_calls()
         }
@@ -347,7 +334,7 @@ mod tests {
     #[test]
     fn per_row_defaults_reject_a_bulk_answer_of_zero_or_two() {
         for n in [0, 2] {
-            let p = WrongCount(MockPlatform::echo(), n);
+            let p = WrongCount(sim(), n);
             let proj = p.create_project("t").unwrap();
             let bad = |r: Result<()>| matches!(r, Err(Error::BadResponse(_)));
             let spec = specs(1).remove(0);
@@ -375,12 +362,8 @@ mod tests {
     #[test]
     fn status_probes_are_free_on_every_platform() {
         // The one probe-accounting semantics, pinned across every
-        // in-process platform: is_complete/are_complete never count toward
+        // in-tree stack: is_complete/are_complete never count toward
         // api_calls (and never charge FailingPlatform's budget).
-        use crate::failing::FailingPlatform;
-        use crate::SimPlatform;
-        use std::sync::Arc;
-
         let probe_storm = |p: &dyn CrowdPlatform| {
             let proj = p.create_project("t").unwrap();
             let tasks = p.publish_tasks(proj, specs(3)).unwrap();
@@ -393,39 +376,22 @@ mod tests {
             let _ = p.are_complete(&ids).unwrap();
             assert_eq!(p.api_calls(), before, "{}: probes must be free", p.name());
         };
-        probe_storm(&MockPlatform::echo());
-        probe_storm(&SimPlatform::quick(3, 0.9, 1));
+        for p in platforms() {
+            probe_storm(p.as_ref());
+        }
 
-        let failing = FailingPlatform::new(Arc::new(MockPlatform::echo()), 100);
+        let failing = FailingPlatform::new(Arc::new(sim()), 100);
         probe_storm(&failing);
-        // run_until_complete's own probes are free too: only create (1)
-        // and the bulk publish (1) were charged.
+        // The wait and its probes are free too: only create (1) and the
+        // bulk publish (1) were charged.
         assert_eq!(failing.remaining(), 98);
     }
 
     #[test]
     fn run_until_complete_unknown_task_errors() {
-        let p = MockPlatform::echo();
+        let p = sim();
         let proj = p.create_project("t").unwrap();
         let t = p.publish_tasks(proj, specs(1)).unwrap().remove(0);
-        assert_eq!(
-            p.run_until_complete(&[t.id, 404]).unwrap_err(),
-            Error::UnknownTask(404)
-        );
-    }
-
-    #[test]
-    fn run_until_complete_on_mock() {
-        let p = MockPlatform::echo();
-        let proj = p.create_project("t").unwrap();
-        let t = p
-            .publish_task(
-                proj,
-                TaskSpec { payload: serde_json::json!("x"), n_assignments: 2 },
-            )
-            .unwrap();
-        p.run_until_complete(&[t.id]).unwrap();
-        assert!(p.is_complete(t.id).unwrap());
-        assert_eq!(p.fetch_runs(t.id).unwrap().len(), 2);
+        assert_eq!(p.run_until_complete(&[t.id, 404]).unwrap_err(), Error::UnknownTask(404));
     }
 }

@@ -23,7 +23,7 @@
 //!   parse).
 
 use crate::error::{Error, Result};
-use crate::platform::{still_open, CrowdPlatform};
+use crate::platform::CrowdPlatform;
 use crate::sim::answer::AnswerModel;
 use crate::sim::latency::lognormal;
 use crate::sim::worker::{WorkerPool, WorkerProfile};
@@ -250,6 +250,21 @@ impl World {
     }
 }
 
+/// Counts how many of `tasks` are still open given an
+/// [`are_complete`](CrowdPlatform::are_complete) status vector, failing
+/// with [`Error::UnknownTask`] on ids the platform does not know.
+fn still_open(tasks: &[TaskId], status: &[Option<bool>]) -> Result<usize> {
+    let mut open = 0;
+    for (i, st) in status.iter().enumerate() {
+        match st {
+            None => return Err(Error::UnknownTask(tasks[i])),
+            Some(false) => open += 1,
+            Some(true) => {}
+        }
+    }
+    Ok(open)
+}
+
 /// The simulated crowdsourcing platform.
 pub struct SimPlatform {
     world: Mutex<World>,
@@ -370,11 +385,11 @@ impl CrowdPlatform for SimPlatform {
         self.world.lock().step()
     }
 
-    /// The trait default's drain-then-check, under one lock acquisition
-    /// instead of one per event. Like the default, draining may progress
-    /// unlisted open tasks; already-completed tasks never change.
-    /// Already-satisfied (or unknown) task lists return before any
-    /// simulation runs.
+    /// The workspace's one drain-then-check driver: one completion probe,
+    /// the event loop drained to quiescence, one final probe, all under a
+    /// single lock acquisition. Draining may progress unlisted open tasks;
+    /// already-completed tasks never change. Already-satisfied (or
+    /// unknown) task lists return before any simulation runs.
     fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
         let mut w = self.world.lock();
         if still_open(tasks, &w.are_complete(tasks))? == 0 {
@@ -440,6 +455,23 @@ mod tests {
         let proj = p.create_project("exp").unwrap();
         let err = p.publish_task(proj, label_spec(0, 3)).unwrap_err();
         assert!(matches!(err, Error::InvalidRequest(_)));
+    }
+
+    #[test]
+    fn zero_assignments_rejected() {
+        let p = SimPlatform::quick(2, 0.9, 3);
+        let proj = p.create_project("exp").unwrap();
+        let err = p.publish_task(proj, label_spec(0, 0)).unwrap_err();
+        assert!(matches!(err, Error::InvalidRequest(_)));
+    }
+
+    #[test]
+    fn unknown_ids_error() {
+        let p = SimPlatform::quick(2, 0.9, 3);
+        assert_eq!(p.project(9).unwrap_err(), Error::UnknownProject(9));
+        assert_eq!(p.task(9).unwrap_err(), Error::UnknownTask(9));
+        assert_eq!(p.fetch_runs(9).unwrap_err(), Error::UnknownTask(9));
+        assert_eq!(p.publish_task(42, label_spec(0, 1)).unwrap_err(), Error::UnknownProject(42));
     }
 
     #[test]

@@ -119,7 +119,7 @@ fn n1000_batch100_issues_under_5_percent_of_per_row_calls() {
         "batched path must issue ≤5% of per-row calls ({bat_calls} vs {row_calls})"
     );
 
-    // Round-trip accounting through the ExecutionContext metrics.
+    // Round-trip accounting through the context's batch metrics.
     let m = cc_bat.batch_metrics();
     assert_eq!(m.publish_calls, 10);
     assert_eq!(m.fetch_calls, 10);

@@ -486,6 +486,9 @@ mod panic_on_publish {
         fn step(&self) -> Result<bool> {
             self.inner.step()
         }
+        fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
+            self.inner.run_until_complete(tasks)
+        }
         fn api_calls(&self) -> u64 {
             self.inner.api_calls()
         }
