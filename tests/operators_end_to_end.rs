@@ -4,7 +4,7 @@
 
 use reprowd::datagen::{comparison_probability, ErConfig, ErCorpus, RankingConfig, RankingDataset};
 use reprowd::operators::join::transitive::PairOrdering;
-use reprowd::platform::{CrowdPlatform, SimConfig, SimPlatform, WorkerPool};
+use reprowd::platform::{CrowdPlatform, FailingPlatform, SimConfig, SimPlatform, WorkerPool};
 use reprowd::prelude::*;
 use std::sync::Arc;
 
@@ -242,5 +242,161 @@ fn crowd_label_with_gold_calibration_weights() {
         "calibrated weights should not hurt: wmv {} vs mv {}",
         score("wmv"),
         score("mv")
+    );
+}
+
+// ------------------------------------------------ transitive join pins
+
+/// E7's corpus: 25 entities with 3–6 duplicates each, lots of transitivity.
+fn e7_corpus() -> (Vec<String>, Vec<usize>) {
+    let corpus = ErCorpus::generate(&ErConfig {
+        n_entities: 25,
+        min_dups: 3,
+        max_dups: 6,
+        seed: 707,
+        ..ErConfig::default()
+    });
+    (corpus.texts(), corpus.truth_clusters())
+}
+
+fn e7_config(name: &str, ordering: PairOrdering) -> TransitiveConfig {
+    let mut cfg = TransitiveConfig::new(name);
+    cfg.threshold = 0.4;
+    cfg.ordering = ordering;
+    cfg
+}
+
+/// FNV-1a over every raw store cell, each part length-prefixed (the
+/// digest `golden_lifecycle` pins).
+fn scan_digest(db: &Arc<dyn Backend>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (k, v) in db.scan_prefix(b"").unwrap() {
+        eat(&k);
+        eat(&v);
+    }
+    h
+}
+
+#[derive(Debug, PartialEq, Eq)]
+struct TransitivePin {
+    asked: usize,
+    deduced_positive: usize,
+    deduced_negative: usize,
+    matched: usize,
+    stats: reprowd::core::crowddata::RunStats,
+    api_calls: u64,
+    scan_fnv: u64,
+}
+
+/// One transitive join over E7's corpus on a fresh crowd and database,
+/// then a rerun on the same pair that must be free and change nothing.
+fn transitive_pin(name: &str, ordering: PairOrdering, ambiguity: f64) -> TransitivePin {
+    let (records, entities) = e7_corpus();
+    let platform = Arc::new(SimPlatform::quick(9, 0.9, 77));
+    let db: Arc<dyn Backend> = Arc::new(MemoryStore::new());
+    let cc = reprowd::core::CrowdContext::new(
+        Arc::clone(&platform) as Arc<dyn CrowdPlatform>,
+        Arc::clone(&db),
+    )
+    .unwrap();
+    let cfg = e7_config(name, ordering);
+    let out = transitive_join(&cc, &records, &cfg, match_oracle(entities.clone(), ambiguity))
+        .unwrap();
+    let pin = TransitivePin {
+        asked: out.asked.len(),
+        deduced_positive: out.deduced_positive,
+        deduced_negative: out.deduced_negative,
+        matched: out.matched.len(),
+        stats: out.stats,
+        api_calls: platform.api_calls(),
+        scan_fnv: scan_digest(&db),
+    };
+
+    let rerun = transitive_join(&cc, &records, &cfg, match_oracle(entities, ambiguity)).unwrap();
+    assert_eq!((&rerun.asked, &rerun.matched), (&out.asked, &out.matched));
+    assert_eq!(platform.api_calls(), pin.api_calls, "rerun must issue zero crowd calls");
+    assert_eq!(rerun.stats.tasks_published, 0);
+    assert_eq!(rerun.stats.results_reused, pin.asked as u64);
+    assert_eq!(scan_digest(&db), pin.scan_fnv, "rerun must not change a stored cell");
+    pin
+}
+
+/// Recorded values of two transitive joins over E7's corpus: the question
+/// sequence's outcome, the accounting, every platform call and every stored
+/// cell. Any change to how the join asks, deduces or caches shows up here.
+#[test]
+fn golden_transitive_join() {
+    let stats = |n: u64| reprowd::core::crowddata::RunStats {
+        tasks_published: n,
+        results_collected: n,
+        ..Default::default()
+    };
+    assert_eq!(
+        transitive_pin("tj-golden-desc", PairOrdering::SimilarityDesc, 0.05),
+        TransitivePin {
+            asked: 70,
+            deduced_positive: 44,
+            deduced_negative: 5,
+            matched: 111,
+            stats: stats(70),
+            api_calls: 141,
+            scan_fnv: 0xbc0808bb443b8b54,
+        }
+    );
+    assert_eq!(
+        transitive_pin("tj-golden-random", PairOrdering::Random(7), 0.4),
+        TransitivePin {
+            asked: 71,
+            deduced_positive: 38,
+            deduced_negative: 10,
+            matched: 99,
+            stats: stats(71),
+            api_calls: 143,
+            scan_fnv: 0x82e3e13a09579601,
+        }
+    );
+}
+
+/// A client crash partway through the question sequence costs nothing on
+/// rerun: the asked pairs are served from the store, the crashed question's
+/// task is reused, and the join ends exactly where a crash-free run does.
+#[test]
+fn crashed_transitive_join_resumes_mid_sequence() {
+    let (records, entities) = e7_corpus();
+    let cfg = e7_config("tj-crash", PairOrdering::Random(7));
+    let oracle = || match_oracle(entities.clone(), 0.4);
+
+    let clean = transitive_join(&ctx(SimPlatform::quick(9, 0.9, 79)), &records, &cfg, oracle())
+        .unwrap();
+
+    // One call for the project, then a publish and a fetch per question:
+    // the budget runs out on the fetch of question 30.
+    let inner = Arc::new(SimPlatform::quick(9, 0.9, 79));
+    let failing = Arc::new(FailingPlatform::new(Arc::clone(&inner), 60));
+    let cc = reprowd::core::CrowdContext::new(
+        Arc::clone(&failing) as Arc<dyn CrowdPlatform>,
+        Arc::new(MemoryStore::new()),
+    )
+    .unwrap();
+    assert!(transitive_join(&cc, &records, &cfg, oracle()).is_err(), "the budget must run out");
+    assert!(clean.asked.len() > 30, "the crash must land mid-sequence");
+
+    failing.reset_budget(u64::MAX);
+    let resumed = transitive_join(&cc, &records, &cfg, oracle()).unwrap();
+    assert_eq!(resumed.asked, clean.asked);
+    assert_eq!(resumed.matched, clean.matched);
+    assert_eq!(resumed.clusters, clean.clusters);
+    assert!(resumed.stats.tasks_reused > 0, "{:?}", resumed.stats);
+    assert_eq!(
+        resumed.stats.tasks_published + resumed.stats.tasks_reused,
+        resumed.asked.len() as u64,
+        "{:?}",
+        resumed.stats
     );
 }
