@@ -249,7 +249,10 @@ impl CrowdData {
     /// round-trips linearly in rows. If the platform no longer knows a
     /// published task (the platform itself restarted — distinct from a
     /// client crash), the task is transparently re-published (also in
-    /// batches) and counted in [`RunStats::tasks_republished`].
+    /// batches) and counted in [`RunStats::tasks_republished`]. So is every
+    /// task when the platform no longer knows the recorded project under
+    /// this experiment's name: a restarted platform may have given its id
+    /// to another experiment.
     pub fn collect(mut self) -> Result<Self> {
         let presenter = self
             .presenter

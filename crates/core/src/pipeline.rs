@@ -30,11 +30,13 @@
 //!
 //! On top of the scheduler sits the **chunk lifecycle**, the legs a row
 //! goes through on its way to a result cell: cache read, bulk probe (a
-//! task the platform lost is republished under its stored redundancy),
+//! task the platform lost is republished under its stored redundancy, and
+//! so is every task when the recorded project is not this experiment's),
 //! bulk publish, wait, bulk fetch, and one commit that writes a chunk's
 //! task and result batches, meters them in
 //! [`BatchMetrics`](crate::exec::BatchMetrics) and folds its
-//! [`RunStats`]. The two execution paths are two schedules of these legs:
+//! [`RunStats`]. A chunk that fails after publishing still commits its
+//! task cells. The two execution paths are two schedules of these legs:
 //!
 //! * **Classic** ([`CrowdData::publish`](crate::CrowdData::publish) and
 //!   [`collect`](crate::CrowdData::collect)), phase at a time: `publish`
@@ -321,20 +323,35 @@ pub(crate) struct Lifecycle<'a> {
     cc: &'a CrowdContext,
     presenter: &'a Presenter,
     project: Mutex<(&'a mut Manifest, Option<u64>)>,
+    /// The manifest's project is this experiment's on this platform, so
+    /// the stored task ids name this experiment's tasks. Decided once, as
+    /// the run starts.
+    trusted: bool,
 }
 
 impl<'a> Lifecycle<'a> {
+    /// Starts a run. The recorded project is trusted only if the platform
+    /// knows it under this experiment's name: a restarted platform hands
+    /// out ids from 1 again, so the id may now name another experiment's
+    /// project, and the stored task ids that experiment's tasks.
     pub(crate) fn new(
         cc: &'a CrowdContext,
         presenter: &'a Presenter,
         manifest: &'a mut Manifest,
     ) -> Self {
-        Lifecycle { cc, presenter, project: Mutex::new((manifest, None)) }
+        let trusted = manifest.project_id.is_some_and(|pid| {
+            cc.platform().project(pid).is_ok_and(|project| {
+                project.name.rsplit_once(':').map(|(experiment, _)| experiment)
+                    == Some(manifest.name.as_str())
+            })
+        });
+        Lifecycle { cc, presenter, project: Mutex::new((manifest, None)), trusted }
     }
 
-    /// The experiment's platform project: the recorded one if the platform
-    /// still knows it (a fresh platform instance may have lost it), else a
-    /// new one, persisted into the manifest. Resolved once per run.
+    /// The experiment's platform project: the recorded one if it is
+    /// trusted (a fresh platform instance may have lost it, or given its
+    /// id to another experiment), else a new one, persisted into the
+    /// manifest. Resolved once per run.
     fn project_id(&self) -> Result<u64> {
         let mut slot = self.project.lock().expect("project lock poisoned by a panicking leg");
         let (manifest, resolved) = &mut *slot;
@@ -342,7 +359,7 @@ impl<'a> Lifecycle<'a> {
             return Ok(pid);
         }
         let pid = match manifest.project_id {
-            Some(pid) if self.cc.platform().project(pid).is_ok() => pid,
+            Some(pid) if self.trusted => pid,
             _ => {
                 let pid = self
                     .cc
@@ -385,7 +402,9 @@ impl<'a> Lifecycle<'a> {
     /// Probe leg: one bulk completion probe over the lanes awaiting a
     /// result. A task the platform no longer knows (the platform restarted,
     /// distinct from a client crash) is dropped, to be republished under
-    /// the redundancy its cell was created with.
+    /// the redundancy its cell was created with. So is every task when the
+    /// recorded project is not trusted: the probe still goes out, in its
+    /// slot, but its answers may be about another experiment's tasks.
     fn probe(&self, lanes: &mut [Lane], gate: &IssueGate, slot: u64) -> Result<()> {
         let (at, ids) = awaiting(lanes);
         let statuses = self.cc.platform().are_complete_pipelined(&ids, gate, slot)?;
@@ -393,7 +412,7 @@ impl<'a> Lifecycle<'a> {
         for (&p, status) in at.iter().zip(statuses) {
             let lane = &mut lanes[p];
             lane.did.probed = true;
-            if status.is_none() {
+            if status.is_none() || !self.trusted {
                 lane.redundancy = lane.task.take().expect("awaiting lane has a task").n_assignments;
                 lane.lost = true;
             }
@@ -506,6 +525,12 @@ impl<'a> Lifecycle<'a> {
     /// size: `legs(chunk, gate, base)` is a chunk's job, on a worker thread,
     /// with slots `base..base + slots`; each finished chunk is committed in
     /// order and its lanes handed to `sink`.
+    ///
+    /// A chunk whose legs fail right after the committed prefix still
+    /// commits what its earlier legs did: a streamed chunk that dies in its
+    /// wait or fetch keeps the task cells of the tasks it published, so the
+    /// rerun reuses them instead of publishing them twice. (Its later
+    /// slots, and every later chunk's, were cancelled by the gate.)
     fn run(
         &self,
         lanes: impl Iterator<Item = Lane> + Send,
@@ -517,9 +542,11 @@ impl<'a> Lifecycle<'a> {
         let gate = IssueGate::new();
         let inflight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
+        // The lowest-numbered chunk whose legs failed, as they left it.
+        let failed: Mutex<Option<(usize, Vec<Lane>)>> = Mutex::new(None);
         let mut report = StreamReport::default();
         let mut lanes = lanes;
-        run_windowed(
+        let outcome = run_windowed(
             self.cc.config().inflight_batches,
             slots,
             &gate,
@@ -532,7 +559,17 @@ impl<'a> Lifecycle<'a> {
                 peak.fetch_max(now, Ordering::Relaxed);
                 Ok(Some(chunk))
             },
-            |k, chunk: &mut Vec<Lane>| legs(chunk, &gate, k as u64 * slots),
+            |k, chunk: &mut Vec<Lane>| {
+                let done = legs(chunk, &gate, k as u64 * slots);
+                if done.is_err() {
+                    let mut failed =
+                        failed.lock().expect("failed-chunk lock poisoned by a panicking leg");
+                    if failed.as_ref().is_none_or(|(first, _)| k < *first) {
+                        *failed = Some((k, std::mem::take(chunk)));
+                    }
+                }
+                done
+            },
             |_k, mut chunk, ()| {
                 self.commit(&mut chunk, &mut report.stats)?;
                 inflight.fetch_sub(chunk.len(), Ordering::Relaxed);
@@ -543,7 +580,18 @@ impl<'a> Lifecycle<'a> {
                 }
                 Ok(())
             },
-        )?;
+        );
+        if let Err(e) = outcome {
+            let failed =
+                failed.into_inner().expect("failed-chunk lock poisoned by a panicking leg");
+            if let Some((k, mut chunk)) = failed {
+                if k as u64 == report.chunks {
+                    // Best effort: the legs' error is the one to report.
+                    let _ = self.commit(&mut chunk, &mut RunStats::default());
+                }
+            }
+            return Err(e);
+        }
         report.peak_inflight_rows = peak.load(Ordering::Relaxed);
         Ok(report)
     }

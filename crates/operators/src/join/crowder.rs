@@ -18,7 +18,7 @@
 //! records without an `O(n²)` resident pair vector.
 
 use crate::cluster::clusters_from_pairs;
-use crate::join::{pair_from_object, pair_object};
+use crate::join::{pair_from_object, pair_object, MATCH_QUESTION};
 use reprowd_core::context::CrowdContext;
 use reprowd_core::error::Result;
 use reprowd_core::pipeline::{majority_answer, run_stream, StreamSpec};
@@ -78,9 +78,6 @@ pub struct CrowdErResult {
     /// candidates the machine pass emits.
     pub peak_inflight_pairs: usize,
 }
-
-/// The question CrowdER poses for every grey-zone pair.
-const MATCH_QUESTION: &str = "Do these two records refer to the same entity?";
 
 /// Runs CrowdER over `records`. The `decorate` hook is called for every
 /// constructed pair object (see the crate docs on the simulation seam).

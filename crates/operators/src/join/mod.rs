@@ -6,6 +6,9 @@ pub mod transitive;
 use reprowd_core::error::{Error, Result};
 use reprowd_core::value::Value;
 
+/// The question both joins pose for every pair they send to the crowd.
+pub(crate) const MATCH_QUESTION: &str = "Do these two records refer to the same entity?";
+
 /// Recovers the `(i, j)` indices a [`pair_object`] was built from — how
 /// streaming operators map a collected row back to its pair without
 /// keeping a side table of in-flight pairs.

@@ -10,15 +10,18 @@
 //! positives that unlock deductions (the SIGMOD paper's observation,
 //! reproduced by experiment E7).
 //!
-//! Each asked pair is its own CrowdData row, published and collected
-//! incrementally — the operator leans on content-keyed caching, so a
+//! Each question is streamed on its own: a one-candidate [`run_stream`]
+//! of the pair, whose verdict is the majority answer — the next question
+//! depends on it. The operator leans on content-keyed caching, so a
 //! crashed or rerun join resumes mid-sequence for free.
 
 use crate::cluster::clusters_from_pairs;
-use crate::join::pair_object;
+use crate::join::{pair_object, MATCH_QUESTION};
 use reprowd_core::context::CrowdContext;
+use reprowd_core::crowddata::RunStats;
 use reprowd_core::error::Result;
 use reprowd_core::hash::fnv1a;
+use reprowd_core::pipeline::{majority_answer, run_stream, StreamSpec};
 use reprowd_core::presenter::Presenter;
 use reprowd_core::value::Value;
 use reprowd_simjoin::{self_join, JoinConfig, SetSimilarity, SimPair};
@@ -79,7 +82,7 @@ pub struct TransitiveResult {
     /// Cluster label per record.
     pub clusters: Vec<usize>,
     /// Cache-reuse statistics aggregated over the ask sequence.
-    pub stats: reprowd_core::crowddata::RunStats,
+    pub stats: RunStats,
 }
 
 /// Runs the transitivity-aware join over `records`.
@@ -100,9 +103,15 @@ pub fn transitive_join(
     let mut deduced_positive = 0usize;
     let mut deduced_negative = 0usize;
     let mut matched = Vec::new();
+    let mut stats = RunStats::default();
 
-    let presenter = Presenter::match_pair("Do these two records refer to the same entity?");
-    let mut cd = cc.crowddata(&cfg.experiment)?.data(vec![])?.presenter(presenter)?;
+    let spec = StreamSpec {
+        experiment: cfg.experiment.clone(),
+        presenter: Presenter::match_pair(MATCH_QUESTION),
+        n_assignments: cfg.n_assignments,
+    };
+    let space =
+        spec.presenter.static_answer_space().expect("match judgment has a fixed answer space");
 
     for pair in &candidates {
         let (i, j) = (pair.left, pair.right);
@@ -118,13 +127,13 @@ pub fn transitive_join(
         }
         // No deduction: ask the crowd for this one pair.
         let obj = pair_object(i, j, &records[i], &records[j], &decorate);
-        cd = cd.extend_data(vec![obj])?.publish(cfg.n_assignments)?.collect()?.majority_vote()?;
+        let mut verdict = Value::Null;
+        let report = run_stream(cc, &spec, std::iter::once(obj), |row| {
+            verdict = majority_answer(&row.result.runs, &space);
+            Ok(())
+        })?;
+        stats.merge(report.stats);
         asked.push((i, j));
-        let verdict = cd
-            .column("mv")?
-            .last()
-            .cloned()
-            .unwrap_or(Value::Null);
         if verdict == Value::Bool(true) {
             matched.push((i, j));
             merge_with_negatives(&mut uf, &mut negative, ra, rb);
@@ -144,7 +153,7 @@ pub fn transitive_join(
         deduced_negative,
         matched,
         clusters,
-        stats: cd.run_stats(),
+        stats,
     })
 }
 

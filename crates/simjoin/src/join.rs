@@ -1,16 +1,17 @@
-//! Similarity-join drivers: candidate generation + verification.
+//! The similarity self-join: candidate generation + verification.
 //!
-//! [`self_join`] returns every pair of records whose similarity clears the
-//! threshold, with the exact score attached, as one materialized vector.
-//! [`self_join_stream`] produces the same *set* of pairs lazily — record by
-//! record against an incrementally built prefix index — so CrowdER's crowd
-//! pass can interleave candidate generation with task publishing and never
-//! hold the full pair list in memory (the resident state is the prefix
-//! index, `O(n · prefix)`, not the `O(n²)`-in-the-worst-case pair set). A
-//! brute-force oracle ([`brute_force_self_join`]) backs the tests and
+//! [`self_join_stream`] is the join: it yields every pair of records whose
+//! similarity clears the threshold, with the exact score attached, lazily —
+//! record by record against an incrementally built prefix index — so
+//! CrowdER's crowd pass can interleave candidate generation with task
+//! publishing and never hold the full pair list in memory (the resident
+//! state is the prefix index, `O(n · prefix)`, not the
+//! `O(n²)`-in-the-worst-case pair set). [`self_join`] is that stream
+//! collected and sorted by descending similarity. There is no R×S driver.
+//! A brute-force oracle ([`brute_force_self_join`]) backs the tests and
 //! benchmarks.
 
-use crate::prefix::{build_universe, candidates, prefix_len, OrderedRecord};
+use crate::prefix::{build_universe, prefix_len, OrderedRecord};
 use crate::similarity::SetSimilarity;
 use crate::tokenize::word_set;
 use std::collections::HashMap;
@@ -46,25 +47,12 @@ impl JoinConfig {
 }
 
 /// All pairs of `records` with similarity >= threshold, sorted by
-/// descending similarity then ascending indices.
+/// descending similarity then ascending indices: [`self_join_stream`],
+/// collected and sorted.
 pub fn self_join(records: &[String], config: &JoinConfig) -> Vec<SimPair> {
-    let token_sets: Vec<Vec<String>> = records.iter().map(|r| word_set(r)).collect();
-    self_join_tokens(&token_sets, config)
-}
-
-/// [`self_join`] over pre-tokenized sets (each sorted + deduplicated).
-pub fn self_join_tokens(token_sets: &[Vec<String>], config: &JoinConfig) -> Vec<SimPair> {
-    let universe = build_universe(token_sets);
-    let cands = candidates(&universe, config.measure, config.threshold);
-    let mut out = Vec::new();
-    for (i, j) in cands {
-        let sim = config.measure.compute(&token_sets[i], &token_sets[j]);
-        if sim >= config.threshold {
-            out.push(SimPair { left: i, right: j, similarity: sim });
-        }
-    }
-    sort_pairs(&mut out);
-    out
+    let mut pairs: Vec<SimPair> = self_join_stream(records, config).collect();
+    sort_pairs(&mut pairs);
+    pairs
 }
 
 /// A lazy self-join: yields exactly the pairs [`self_join`] returns, but
@@ -77,7 +65,7 @@ pub fn self_join_tokens(token_sets: &[Vec<String>], config: &JoinConfig) -> Vec<
 /// record.
 pub fn self_join_stream<'a>(records: &[String], config: &'a JoinConfig) -> SelfJoinStream<'a> {
     let token_sets: Vec<Vec<String>> = records.iter().map(|r| word_set(r)).collect();
-    let ordered = build_universe(&token_sets).records;
+    let ordered = build_universe(&token_sets);
     SelfJoinStream {
         ordered,
         config,
@@ -148,35 +136,6 @@ impl Iterator for SelfJoinStream<'_> {
     }
 }
 
-/// Join two collections: pairs `(i, j)` with `left[i] ~ right[j]`.
-///
-/// Implemented over the combined universe with a partition check — adequate
-/// for the corpus sizes Reprowd experiments use (10³–10⁵ records).
-pub fn rs_join(left: &[String], right: &[String], config: &JoinConfig) -> Vec<SimPair> {
-    let mut token_sets: Vec<Vec<String>> = Vec::with_capacity(left.len() + right.len());
-    token_sets.extend(left.iter().map(|r| word_set(r)));
-    token_sets.extend(right.iter().map(|r| word_set(r)));
-    let universe = build_universe(&token_sets);
-    let cands = candidates(&universe, config.measure, config.threshold);
-    let mut out = Vec::new();
-    for (i, j) in cands {
-        // Keep only cross-partition pairs, remapped to (left_idx, right_idx).
-        let (l, r) = if i < left.len() && j >= left.len() {
-            (i, j - left.len())
-        } else if j < left.len() && i >= left.len() {
-            (j, i - left.len())
-        } else {
-            continue;
-        };
-        let sim = config.measure.compute(&token_sets[l], &token_sets[left.len() + r]);
-        if sim >= config.threshold {
-            out.push(SimPair { left: l, right: r, similarity: sim });
-        }
-    }
-    sort_pairs(&mut out);
-    out
-}
-
 /// O(n²) oracle used to validate the filtered join.
 ///
 /// Like [`self_join`], records with an empty token set join nothing: an
@@ -240,21 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_yields_exactly_the_materialized_pairs() {
-        let records = corpus();
-        for threshold in [0.2, 0.4, 0.6, 0.8, 1.0] {
-            for measure in [SetSimilarity::Jaccard, SetSimilarity::Dice] {
-                let cfg = JoinConfig::new(measure, threshold);
-                let mut streamed: Vec<SimPair> = self_join_stream(&records, &cfg).collect();
-                let mut materialized = self_join(&records, &cfg);
-                sort_pairs(&mut streamed);
-                sort_pairs(&mut materialized);
-                assert_eq!(streamed, materialized, "θ={threshold}, {measure:?}");
-            }
-        }
-    }
-
-    #[test]
     fn stream_orders_by_later_record_and_handles_edge_corpora() {
         let records = corpus();
         let pairs: Vec<SimPair> =
@@ -280,25 +224,6 @@ mod tests {
         let records = corpus();
         let pairs = self_join(&records, &JoinConfig::new(SetSimilarity::Jaccard, 0.1));
         assert!(pairs.windows(2).all(|w| w[0].similarity >= w[1].similarity));
-    }
-
-    #[test]
-    fn rs_join_crosses_partitions_only() {
-        let left = vec!["apple iphone six".to_string(), "nokia 3310".to_string()];
-        let right =
-            vec!["iphone six apple".to_string(), "totally unrelated record".to_string()];
-        let pairs = rs_join(&left, &right, &JoinConfig::new(SetSimilarity::Jaccard, 0.9));
-        assert_eq!(pairs.len(), 1);
-        assert_eq!((pairs[0].left, pairs[0].right), (0, 0));
-        assert_eq!(pairs[0].similarity, 1.0);
-    }
-
-    #[test]
-    fn rs_join_never_pairs_within_one_side() {
-        let left = vec!["same same same".to_string(), "same same same".to_string()];
-        let right = vec!["other words".to_string()];
-        let pairs = rs_join(&left, &right, &JoinConfig::new(SetSimilarity::Jaccard, 0.5));
-        assert!(pairs.is_empty());
     }
 
     #[test]

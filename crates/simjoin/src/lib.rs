@@ -13,8 +13,9 @@
 //!   Levenshtein edit distance / similarity.
 //! * [`prefix`] — prefix filtering with a global rare-token-first order, the
 //!   classic index-level optimization for set-similarity joins.
-//! * [`join`] — self-join and R×S join drivers, plus a brute-force oracle
-//!   used by the tests to prove the filter loses no true match.
+//! * [`join`] — the self-join, one lazy stream ([`self_join_stream`]) that
+//!   [`self_join`] collects and sorts (there is no R×S driver), plus a
+//!   brute-force oracle proving the filter loses no true match.
 //!
 //! ```
 //! use reprowd_simjoin::join::{self_join, JoinConfig};
@@ -35,5 +36,5 @@ pub mod prefix;
 pub mod similarity;
 pub mod tokenize;
 
-pub use join::{rs_join, self_join, self_join_stream, JoinConfig, SelfJoinStream, SimPair};
+pub use join::{self_join, self_join_stream, JoinConfig, SelfJoinStream, SimPair};
 pub use similarity::SetSimilarity;

@@ -6,6 +6,7 @@
 //! then each set's *prefix* — its first `|x| - t + 1` tokens in the global
 //! order — must contain at least one shared token. Indexing only prefixes
 //! yields every candidate pair while probing a tiny fraction of the data.
+//! The probe-then-index loop is [`SelfJoinStream`](crate::join::SelfJoinStream).
 
 use crate::similarity::SetSimilarity;
 use std::collections::HashMap;
@@ -20,18 +21,10 @@ pub struct OrderedRecord {
     pub tokens: Vec<u32>,
 }
 
-/// The global token order plus all records mapped into it.
-#[derive(Debug)]
-pub struct TokenUniverse {
-    /// token string -> id (ordered by ascending document frequency).
-    pub vocab: HashMap<String, u32>,
-    /// All records, each with ascending token ids.
-    pub records: Vec<OrderedRecord>,
-}
-
 /// Builds the rare-first global order over `token_sets` (each must be a
-/// deduplicated set; order within doesn't matter).
-pub fn build_universe(token_sets: &[Vec<String>]) -> TokenUniverse {
+/// deduplicated set; order within doesn't matter) and maps every record
+/// into it, in input order.
+pub fn build_universe(token_sets: &[Vec<String>]) -> Vec<OrderedRecord> {
     let mut freq: HashMap<&str, u32> = HashMap::new();
     for set in token_sets {
         for tok in set {
@@ -41,10 +34,10 @@ pub fn build_universe(token_sets: &[Vec<String>]) -> TokenUniverse {
     // Sort tokens by (frequency asc, lexicographic) for a deterministic order.
     let mut by_rarity: Vec<(&str, u32)> = freq.into_iter().collect();
     by_rarity.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-    let vocab: HashMap<String, u32> =
-        by_rarity.iter().enumerate().map(|(i, (tok, _))| (tok.to_string(), i as u32)).collect();
+    let vocab: HashMap<&str, u32> =
+        by_rarity.iter().enumerate().map(|(i, &(tok, _))| (tok, i as u32)).collect();
 
-    let records = token_sets
+    token_sets
         .iter()
         .enumerate()
         .map(|(id, set)| {
@@ -53,8 +46,7 @@ pub fn build_universe(token_sets: &[Vec<String>]) -> TokenUniverse {
             tokens.dedup();
             OrderedRecord { id, tokens }
         })
-        .collect();
-    TokenUniverse { vocab, records }
+        .collect()
 }
 
 /// Length of the prefix that must be indexed for a record of `len` tokens
@@ -72,37 +64,10 @@ pub fn prefix_len(measure: SetSimilarity, len: usize, threshold: f64) -> usize {
     len.saturating_sub(t) + 1
 }
 
-/// All candidate pairs `(i, j)` with `i < j` whose prefixes share a token.
-/// A superset of the true result — callers verify with the full measure.
-pub fn candidates(universe: &TokenUniverse, measure: SetSimilarity, threshold: f64) -> Vec<(usize, usize)> {
-    // Inverted index: token id -> record ids whose *prefix* contains it.
-    let mut index: HashMap<u32, Vec<usize>> = HashMap::new();
-    let mut seen: HashMap<(usize, usize), ()> = HashMap::new();
-    let mut out = Vec::new();
-
-    for rec in &universe.records {
-        let p = prefix_len(measure, rec.tokens.len(), threshold);
-        for &tok in &rec.tokens[..p] {
-            if let Some(hits) = index.get(&tok) {
-                for &other in hits {
-                    let key = (other.min(rec.id), other.max(rec.id));
-                    if seen.insert(key, ()).is_none() {
-                        out.push(key);
-                    }
-                }
-            }
-        }
-        for &tok in &rec.tokens[..p] {
-            index.entry(tok).or_default().push(rec.id);
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::{self_join_stream, JoinConfig};
     use crate::similarity::intersection_size;
     use crate::tokenize::word_set;
 
@@ -110,19 +75,28 @@ mod tests {
         records.iter().map(|r| word_set(r)).collect()
     }
 
+    /// The `(left, right)` pairs the prefix-filtered join emits.
+    fn joined(records: &[&str], threshold: f64) -> Vec<(usize, usize)> {
+        let records: Vec<String> = records.iter().map(|r| r.to_string()).collect();
+        let cfg = JoinConfig::new(SetSimilarity::Jaccard, threshold);
+        self_join_stream(&records, &cfg).map(|p| (p.left, p.right)).collect()
+    }
+
     #[test]
     fn universe_orders_rare_first() {
-        let u = build_universe(&sets(&["a b common", "c common", "d common"]));
-        let common_id = u.vocab["common"];
-        for tok in ["a", "b", "c", "d"] {
-            assert!(u.vocab[tok] < common_id, "{tok} should order before 'common'");
+        let records = build_universe(&sets(&["a b common", "c common", "d common"]));
+        // "common" is in every record, so it orders last in each of them.
+        let common_id = *records[1].tokens.last().unwrap();
+        assert!(records.iter().all(|r| r.tokens.last() == Some(&common_id)));
+        for rec in &records {
+            assert!(rec.tokens[..rec.tokens.len() - 1].iter().all(|&t| t < common_id));
         }
     }
 
     #[test]
     fn records_tokens_ascending_dedup() {
-        let u = build_universe(&sets(&["b a b a", "a c"]));
-        for rec in &u.records {
+        let records = build_universe(&sets(&["b a b a", "a c"]));
+        for rec in &records {
             assert!(rec.tokens.windows(2).all(|w| w[0] < w[1]));
         }
     }
@@ -136,11 +110,11 @@ mod tests {
         assert_eq!(prefix_len(SetSimilarity::Jaccard, 0, 0.5), 0);
     }
 
-    /// The candidate set must be a superset of all truly-similar pairs
-    /// (completeness — the property CrowdER's recall depends on).
+    /// Filtering on prefixes must lose no truly-similar pair (completeness
+    /// — the property CrowdER's recall depends on).
     #[test]
-    fn candidates_superset_of_truth_exhaustive() {
-        let corpus = sets(&[
+    fn prefix_filter_loses_no_similar_pair() {
+        let records = [
             "apple iphone 6s 64gb",
             "iphone 6s 64gb apple smartphone",
             "samsung galaxy s7",
@@ -149,16 +123,16 @@ mod tests {
             "apple ipad pro",
             "ipad pro 12 inch apple",
             "nokia brick",
-        ]);
+        ];
+        let corpus = sets(&records);
         for threshold in [0.1, 0.3, 0.5, 0.7, 0.9] {
-            let u = build_universe(&corpus);
-            let cands = candidates(&u, SetSimilarity::Jaccard, threshold);
+            let pairs = joined(&records, threshold);
             for i in 0..corpus.len() {
                 for j in i + 1..corpus.len() {
                     let sim = SetSimilarity::Jaccard.compute(&corpus[i], &corpus[j]);
                     if sim >= threshold && sim > 0.0 {
                         assert!(
-                            cands.contains(&(i, j)),
+                            pairs.contains(&(i, j)),
                             "missed pair ({i},{j}) sim={sim} at θ={threshold}"
                         );
                     }
@@ -168,54 +142,21 @@ mod tests {
     }
 
     #[test]
-    fn candidates_prune_compared_to_all_pairs() {
-        // 40 records in two well-separated clusters: pruning must kick in.
-        let mut corpus = Vec::new();
-        for i in 0..20 {
-            corpus.push(format!("red apple fruit juice sweet rvariant{i}"));
-            corpus.push(format!("blue car vehicle engine fast bvariant{i}"));
-        }
-        let sets: Vec<Vec<String>> = corpus.iter().map(|s| word_set(s)).collect();
-        let u = build_universe(&sets);
-        let cands = candidates(&u, SetSimilarity::Jaccard, 0.6);
-        let all_pairs = corpus.len() * (corpus.len() - 1) / 2;
-        assert!(
-            cands.len() < all_pairs / 2,
-            "prefix filter pruned nothing: {} of {}",
-            cands.len(),
-            all_pairs
-        );
-        // And it still finds the within-cluster near-duplicates.
-        let apple_pair_sim = SetSimilarity::Jaccard
-            .compute(&sets[0], &sets[2]);
-        assert!(apple_pair_sim >= 0.6);
-        assert!(cands.contains(&(0, 2)));
-    }
-
-    #[test]
     fn identical_records_always_candidates() {
-        let corpus = sets(&["exact copy of text", "exact copy of text"]);
-        let u = build_universe(&corpus);
-        let cands = candidates(&u, SetSimilarity::Jaccard, 1.0);
-        assert_eq!(cands, vec![(0, 1)]);
+        assert_eq!(joined(&["exact copy of text", "exact copy of text"], 1.0), vec![(0, 1)]);
     }
 
     #[test]
     fn empty_records_never_crash() {
-        let corpus = sets(&["", "a b", ""]);
-        let u = build_universe(&corpus);
-        let cands = candidates(&u, SetSimilarity::Jaccard, 0.5);
-        // Empty records have empty prefixes: no candidates involving them.
-        assert!(cands.iter().all(|&(i, j)| i == 1 || j == 1 || (i != j)));
+        // Empty records have empty prefixes: no pairs involving them.
+        assert!(joined(&["", "a b", ""], 0.5).is_empty());
     }
 
     #[test]
     fn intersection_consistency_with_candidates() {
-        let corpus = sets(&["w x y z", "w x y q", "totally different words"]);
-        let u = build_universe(&corpus);
+        let records = ["w x y z", "w x y q", "totally different words"];
         // records 0,1 share 3 of 5 tokens — jaccard 0.6
-        assert_eq!(intersection_size(&corpus[0], &corpus[1]), 3);
-        let cands = candidates(&u, SetSimilarity::Jaccard, 0.6);
-        assert!(cands.contains(&(0, 1)));
+        assert_eq!(intersection_size(&sets(&records)[0], &sets(&records)[1]), 3);
+        assert!(joined(&records, 0.6).contains(&(0, 1)));
     }
 }

@@ -318,6 +318,116 @@ fn crash_mid_stream_resumes_from_the_committed_prefix() {
     assert_eq!(report.stats.tasks_published, 8, "only the crashed tail is repaid");
 }
 
+/// A crash *after* a streamed chunk's publish keeps that chunk's tasks: the
+/// chunk dies in its fetch, yet its task cells are written, so the rerun
+/// reuses them instead of publishing the chunk twice — at every depth.
+#[test]
+fn crash_in_a_streamed_fetch_keeps_the_published_tasks() {
+    use reprowd_core::pipeline::{run_stream, StreamSpec};
+    for depth in [1usize, 4] {
+        let inner = Arc::new(SimPlatform::quick(6, 0.9, 77));
+        // Budget 8 = create + three chunks (publish + fetch each) + chunk
+        // 4's publish: chunk 4 of 5 dies in its fetch.
+        let failing = Arc::new(FailingPlatform::new(Arc::clone(&inner), 8));
+        let cc = reprowd::core::CrowdContext::with_config(
+            Arc::clone(&failing) as Arc<dyn CrowdPlatform>,
+            Arc::new(MemoryStore::new()),
+            ExecutionConfig::with_batch_size(4).with_inflight_batches(depth),
+        )
+        .unwrap();
+        let spec = StreamSpec {
+            experiment: "stream-fetch-crash".into(),
+            presenter: Presenter::image_label("Is this a cat?", &["Yes", "No"]),
+            n_assignments: 3,
+        };
+        let err = run_stream(&cc, &spec, objects(20).into_iter(), |_| Ok(())).unwrap_err();
+        assert!(err.is_injected_fault(), "depth {depth}: {err}");
+
+        failing.reset_budget(u64::MAX);
+        let report = run_stream(&cc, &spec, objects(20).into_iter(), |_| Ok(())).unwrap();
+        let s = report.stats;
+        assert_eq!(s.results_reused, 12, "depth {depth}: {s:?}");
+        assert_eq!(s.tasks_reused, 16, "depth {depth}: the crashed chunk's tasks are kept");
+        assert_eq!(s.tasks_published, 4, "depth {depth}: only the last chunk publishes");
+        assert_eq!(s.results_collected, 8, "depth {depth}");
+        // create + five publishes + five fetches: no chunk was paid twice.
+        assert_eq!(inner.api_calls(), 11, "depth {depth}");
+    }
+}
+
+/// A restarted platform hands out ids from 1 again, so the project and
+/// task ids an experiment recorded on the old platform may name another
+/// experiment's on the new one. Experiment `a` publishes on P1; on a fresh
+/// P2, `b` publishes and gets the same ids; `a`'s collect on P2 must
+/// republish its tasks, not store `b`'s runs as its own results — through
+/// the classic chain and through `run_stream` alike.
+#[test]
+fn restarted_platform_never_lends_another_experiments_tasks() {
+    use reprowd_core::pipeline::{run_stream, StreamSpec};
+    let presenter = Presenter::image_label("Is this a cat?", &["Yes", "No"]);
+    let rows = |prefix: &str| -> Vec<Value> {
+        (0..2)
+            .map(|i| {
+                val!({
+                    "url": format!("{prefix}{i}.jpg"),
+                    "_sim": {"kind": "label", "truth": 0, "labels": ["Yes", "No"], "difficulty": 0.0}
+                })
+            })
+            .collect()
+    };
+    let publish = |cc: &reprowd::core::CrowdContext, name: &str| {
+        cc.crowddata(name)
+            .unwrap()
+            .data(rows(&name[..1]))
+            .unwrap()
+            .presenter(presenter.clone())
+            .unwrap()
+            .publish(1)
+            .unwrap()
+    };
+    for streamed in [false, true] {
+        let db: Arc<dyn Backend> = Arc::new(MemoryStore::new());
+        let on = |platform: &Arc<SimPlatform>| {
+            reprowd::core::CrowdContext::new(
+                Arc::clone(platform) as Arc<dyn CrowdPlatform>,
+                Arc::clone(&db),
+            )
+            .unwrap()
+        };
+        let p1 = Arc::new(SimPlatform::quick(5, 1.0, 9));
+        publish(&on(&p1), "a");
+        let p2 = Arc::new(SimPlatform::quick(5, 1.0, 10));
+        let cc2 = on(&p2);
+        let b_ids: Vec<u64> =
+            publish(&cc2, "b").rows().iter().map(|row| row.task.as_ref().unwrap().task.id).collect();
+
+        let (stats, runs) = if streamed {
+            let spec = StreamSpec {
+                experiment: "a".into(),
+                presenter: presenter.clone(),
+                n_assignments: 1,
+            };
+            let mut runs = Vec::new();
+            let report = run_stream(&cc2, &spec, rows("a").into_iter(), |row| {
+                runs.extend(row.result.runs);
+                Ok(())
+            })
+            .unwrap();
+            (report.stats, runs)
+        } else {
+            let cd = publish(&cc2, "a").collect().unwrap();
+            let runs = cd.rows().iter().flat_map(|row| row.result.clone().unwrap().runs).collect();
+            (cd.run_stats(), runs)
+        };
+        assert_eq!(stats.tasks_republished, 2, "streamed {streamed}: {stats:?}");
+        assert_eq!(runs.len(), 2, "streamed {streamed}");
+        assert!(
+            runs.iter().all(|run| !b_ids.contains(&run.task_id)),
+            "streamed {streamed}: `a` stored runs of b's tasks {b_ids:?}"
+        );
+    }
+}
+
 /// The sharable guarantee survives the segmented storage layout: with the
 /// log forced to rotate every few hundred bytes (plus a compaction between
 /// the runs), a crash + reopen still reruns with zero platform calls and

@@ -376,27 +376,26 @@ fn crashed_transitive_join_resumes_mid_sequence() {
         .unwrap();
 
     // One call for the project, then a publish and a fetch per question:
-    // the budget runs out on the fetch of question 30.
-    let inner = Arc::new(SimPlatform::quick(9, 0.9, 79));
-    let failing = Arc::new(FailingPlatform::new(Arc::clone(&inner), 60));
-    let cc = reprowd::core::CrowdContext::new(
-        Arc::clone(&failing) as Arc<dyn CrowdPlatform>,
-        Arc::new(MemoryStore::new()),
-    )
-    .unwrap();
-    assert!(transitive_join(&cc, &records, &cfg, oracle()).is_err(), "the budget must run out");
+    // budget 59 runs out on question 30's publish, budget 60 on its fetch.
     assert!(clean.asked.len() > 30, "the crash must land mid-sequence");
+    for budget in [59, 60] {
+        let inner = Arc::new(SimPlatform::quick(9, 0.9, 79));
+        let failing = Arc::new(FailingPlatform::new(Arc::clone(&inner), budget));
+        let cc = reprowd::core::CrowdContext::new(
+            Arc::clone(&failing) as Arc<dyn CrowdPlatform>,
+            Arc::new(MemoryStore::new()),
+        )
+        .unwrap();
+        let crashed = transitive_join(&cc, &records, &cfg, oracle());
+        assert!(crashed.is_err(), "budget {budget} must run out");
 
-    failing.reset_budget(u64::MAX);
-    let resumed = transitive_join(&cc, &records, &cfg, oracle()).unwrap();
-    assert_eq!(resumed.asked, clean.asked);
-    assert_eq!(resumed.matched, clean.matched);
-    assert_eq!(resumed.clusters, clean.clusters);
-    assert!(resumed.stats.tasks_reused > 0, "{:?}", resumed.stats);
-    assert_eq!(
-        resumed.stats.tasks_published + resumed.stats.tasks_reused,
-        resumed.asked.len() as u64,
-        "{:?}",
-        resumed.stats
-    );
+        failing.reset_budget(u64::MAX);
+        let resumed = transitive_join(&cc, &records, &cfg, oracle()).unwrap();
+        assert_eq!(resumed.asked, clean.asked, "budget {budget}");
+        assert_eq!(resumed.matched, clean.matched, "budget {budget}");
+        assert_eq!(resumed.clusters, clean.clusters, "budget {budget}");
+        let s = resumed.stats;
+        assert!(s.tasks_reused > 0, "budget {budget}: {s:?}");
+        assert_eq!(s.tasks_published + s.tasks_reused, resumed.asked.len() as u64, "{s:?}");
+    }
 }
