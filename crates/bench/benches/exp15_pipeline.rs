@@ -222,9 +222,9 @@ fn main() {
     cfg.threshold = 0.3;
     let (out, join_ms) = timed(|| crowder_join(&cc, &records, &cfg, &decorate).unwrap());
     let (p, r, f1) = pairwise_prf(&out.matched, &truth);
-    // Claimed-but-uncommitted chunks are bounded by the worker pool plus
-    // the reorder buffer: 2·depth chunks, plus the one being claimed.
-    let window_bound = (2 * join_depth + 1) * batch;
+    // Each pipeline worker commits its chunk before it claims another, so
+    // at most `depth` chunks are claimed but not yet committed.
+    let window_bound = join_depth * batch;
     println!(
         "\nstreamed CrowdER: {} records, {} candidate pairs ({:.3}% of {} total), \
          {} crowd-reviewed, peak {} pairs in flight (bound {}), P/R/F1 = \

@@ -85,16 +85,9 @@ impl CrowdContext {
     /// A context over a simulated crowd (5 workers, ability 0.85) and an
     /// in-memory database. The quickest way to try the system out.
     pub fn in_memory_sim(seed: u64) -> Self {
-        CrowdContext::in_memory_sim_with(seed, ExecutionConfig::default())
-            .expect("in-memory context construction")
-    }
-
-    /// Like [`in_memory_sim`](CrowdContext::in_memory_sim) — the same
-    /// crowd — but honoring the whole [`ExecutionConfig`]; errors if the
-    /// config is invalid.
-    pub fn in_memory_sim_with(seed: u64, config: ExecutionConfig) -> Result<Self> {
         let platform = Arc::new(SimPlatform::quick(5, 0.85, seed));
-        CrowdContext::with_config(platform, Arc::new(MemoryStore::new()), config)
+        CrowdContext::new(platform, Arc::new(MemoryStore::new()))
+            .expect("in-memory context construction")
     }
 
     /// A context over the given platform and a durable on-disk database —
@@ -104,24 +97,7 @@ impl CrowdContext {
         db_path: impl AsRef<Path>,
         sync: SyncPolicy,
     ) -> Result<Self> {
-        CrowdContext::on_disk_with(platform, db_path, sync, ExecutionConfig::default())
-    }
-
-    /// Like [`on_disk`](CrowdContext::on_disk), but honoring the whole
-    /// [`ExecutionConfig`]; errors before opening the database if the
-    /// config is invalid. The store gets the default segment policy; to
-    /// tune rotation and compaction, open it with
-    /// [`DiskStore::open_with`] and pass it to
-    /// [`with_config`](CrowdContext::with_config).
-    pub fn on_disk_with(
-        platform: Arc<dyn CrowdPlatform>,
-        db_path: impl AsRef<Path>,
-        sync: SyncPolicy,
-        config: ExecutionConfig,
-    ) -> Result<Self> {
-        config.validate()?;
-        let backend: Arc<dyn Backend> = Arc::new(DiskStore::open(db_path, sync)?);
-        CrowdContext::with_config(platform, backend, config)
+        CrowdContext::new(platform, Arc::new(DiskStore::open(db_path, sync)?))
     }
 
     /// Starts (or resumes) the experiment called `name`.
@@ -244,8 +220,7 @@ mod tests {
 
     #[test]
     fn batched_in_memory_context() {
-        let cfg = ExecutionConfig::with_batch_size(8);
-        let cc = CrowdContext::in_memory_sim_with(7, cfg).unwrap();
+        let cc = CrowdContext::in_memory_sim(7).with_batch_size(8).unwrap();
         assert_eq!(cc.batch_size(), 8);
         let cd = cc
             .crowddata("batched")
@@ -263,7 +238,8 @@ mod tests {
         assert!(cc.batch_metrics().probe_calls >= 1);
         // An invalid config is rejected up front.
         let bad = ExecutionConfig::with_batch_size(0);
-        assert!(CrowdContext::in_memory_sim_with(7, bad).is_err());
+        let platform = Arc::new(SimPlatform::quick(5, 0.85, 7));
+        assert!(CrowdContext::with_config(platform, Arc::new(MemoryStore::new()), bad).is_err());
     }
 
     #[test]

@@ -184,23 +184,22 @@ impl CrowdData {
     /// [`inflight_batches`](crate::exec::ExecutionConfig::inflight_batches)
     /// batch round-trips are kept in flight at once by the pipelined
     /// engine ([`crate::pipeline`]); the platform still observes them
-    /// strictly in batch order and the database commits them strictly in
-    /// batch order. Neither knob changes what gets published — ids,
+    /// strictly in batch order, and each batch commits to the database on
+    /// the worker that ran it, strictly in batch order. Neither knob changes what gets published — ids,
     /// payloads, and collected answers are bit-identical for every batch
     /// size and every in-flight depth; batch size 1 reproduces the
     /// historical per-row pipeline exactly, API-call counts included.
     ///
     /// Crash safety: batches commit (all-or-nothing each) in order, so a
     /// crash mid-`publish` leaves a clean batch prefix in the database and
-    /// repays at most the batches past the commit frontier — the
-    /// scheduler lets work run up to `2 × inflight_batches` batches ahead
-    /// of it (`inflight_batches` being worked plus as many awaiting their
-    /// ordered commit) — on rerun; cached batches replay from the
-    /// database with zero platform traffic. (If the process dies between
-    /// the platform accepting a batch and the local write, the rerun
-    /// publishes duplicate tasks for that window — the same exposure the
-    /// original system has against PyBossa, bounded by
-    /// `batch_size × 2·inflight_batches` rows; the stale tasks are simply
+    /// repays at most the batches past the commit frontier — each worker
+    /// commits its batch before it claims another, so at most
+    /// `inflight_batches` batches are ever past it — on rerun; cached
+    /// batches replay from the database with zero platform traffic. (If
+    /// the process dies between the platform accepting a batch and the
+    /// local write, the rerun publishes duplicate tasks for that window —
+    /// the same exposure the original system has against PyBossa, bounded
+    /// by `batch_size × inflight_batches` rows; the stale tasks are simply
     /// never collected.)
     pub fn publish(mut self, n_assignments: u32) -> Result<Self> {
         if !self.data_set {
@@ -239,7 +238,7 @@ impl CrowdData {
     /// Crash safety mirrors [`publish`](CrowdData::publish): results land
     /// in the database batch by batch, in order, so a crash mid-`collect`
     /// re-fetches on rerun at most the batches past the commit frontier —
-    /// up to `2 × inflight_batches` of them, the same window `publish`
+    /// up to `inflight_batches` of them, the same window `publish`
     /// documents (the crowd work itself is never redone — the tasks stay
     /// collected on the platform).
     ///

@@ -32,7 +32,9 @@ pub const DEFAULT_BATCH_SIZE: usize = 100;
 ///
 /// Four overlapped round-trips recover most of the wire-latency loss on a
 /// remote platform (E15) while keeping the crash-exposure window — batches
-/// accepted by the platform but not yet committed locally — small.
+/// accepted by the platform but not yet committed locally, at most this
+/// many, since each pipeline worker commits its batch before it claims
+/// another — small.
 pub const DEFAULT_INFLIGHT_BATCHES: usize = 4;
 
 /// Tunable execution policy of a [`CrowdContext`](crate::CrowdContext).
@@ -207,11 +209,20 @@ impl BatchMetricsSnapshot {
 mod tests {
     use super::*;
     use crate::CrowdContext;
+    use reprowd_platform::SimPlatform;
+    use reprowd_storage::MemoryStore;
+    use std::sync::Arc;
+
+    /// The `in_memory_sim` crowd and database, under `config`.
+    fn sim_with(config: ExecutionConfig) -> Result<CrowdContext> {
+        let platform = Arc::new(SimPlatform::quick(5, 0.85, 1));
+        CrowdContext::with_config(platform, Arc::new(MemoryStore::new()), config)
+    }
 
     #[test]
     fn zero_batch_size_rejected() {
         let bad = ExecutionConfig::with_batch_size(0);
-        assert!(CrowdContext::in_memory_sim_with(1, bad).is_err());
+        assert!(sim_with(bad).is_err());
         assert!(CrowdContext::in_memory_sim(1).with_batch_size(0).is_err());
         assert!(ExecutionConfig::default().validate().is_ok());
     }
@@ -221,7 +232,7 @@ mod tests {
         assert!(ExecutionConfig::default().with_inflight_batches(0).validate().is_err());
         assert_eq!(ExecutionConfig::default().inflight_batches, DEFAULT_INFLIGHT_BATCHES);
         let config = ExecutionConfig::with_batch_size(7).with_inflight_batches(2);
-        let cc = CrowdContext::in_memory_sim_with(1, config).unwrap();
+        let cc = sim_with(config).unwrap();
         assert_eq!(cc.config().inflight_batches, 2);
         assert!(cc.with_inflight_batches(0).is_err());
         // Re-tuning the batch size keeps the depth (and vice versa).
@@ -234,7 +245,7 @@ mod tests {
     #[test]
     fn retuning_preserves_other_knobs() {
         let config = ExecutionConfig::with_batch_size(7).with_inflight_batches(3);
-        let cc = CrowdContext::in_memory_sim_with(1, config.clone()).unwrap();
+        let cc = sim_with(config.clone()).unwrap();
         let re = cc.with_batch_size(2).unwrap();
         assert_eq!(re.batch_size(), 2);
         assert_eq!(*re.config(), ExecutionConfig { batch_size: 2, ..config });
@@ -242,7 +253,7 @@ mod tests {
 
     #[test]
     fn retuned_shares_metrics() {
-        let a = CrowdContext::in_memory_sim_with(1, ExecutionConfig::with_batch_size(7)).unwrap();
+        let a = CrowdContext::in_memory_sim(1).with_batch_size(7).unwrap();
         let b = a.with_batch_size(3).unwrap();
         assert_eq!(a.batch_size(), 7);
         assert_eq!(b.batch_size(), 3);

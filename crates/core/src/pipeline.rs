@@ -1,12 +1,12 @@
 //! The pipelined execution engine, and the one chunk lifecycle both
 //! execution paths run on it.
 //!
-//! * **A bounded-depth scheduler** (plain threads and channels): up to
+//! * **A bounded-depth scheduler** (plain threads, one worker loop):
 //!   [`ExecutionConfig::inflight_batches`](crate::exec::ExecutionConfig::inflight_batches)
-//!   chunk jobs are in flight at once, with claim backpressure so resident
-//!   work never outruns the commit frontier by more than the window.
-//!   Depth 1 degenerates to an inline loop — bit-for-bit the sequential
-//!   engine.
+//!   workers each claim a chunk job, run it, and commit it before claiming
+//!   the next, so at most that many jobs are ever claimed but not yet
+//!   committed. Depth 1 is the same loop on the calling thread — bit for
+//!   bit the sequential engine.
 //! * **Ordered effects** (the platform crate's [`IssueGate`]): every
 //!   platform call a job makes is numbered with a *slot*, and the call's
 //!   effect — id
@@ -16,17 +16,17 @@
 //!   This is why columns, cache contents, and call counts are bit-identical
 //!   across in-flight depths: determinism is proved by call-sequence
 //!   equality, not argued per platform.
-//! * **Ordered commits**: completed jobs commit to the store strictly in
-//!   job order, on the coordinating thread. A failure at job `k` cancels
-//!   the issue gate for everything after `k` (see
-//!   [`IssueGate::close_from`](reprowd_platform::IssueGate::close_from)),
+//! * **Ordered commits**: each worker waits for its job's commit turn and
+//!   commits the job itself, so jobs reach the store strictly in job order.
+//!   A failure at job `k` cancels the issue gate for everything after `k`
+//!   (see [`IssueGate::close_from`](reprowd_platform::IssueGate::close_from)),
 //!   commits exactly the jobs before `k`, and reports `k`'s error — the
 //!   same store prefix and, for errors raised by the platform calls
 //!   themselves, the same platform state a sequential run stopping at `k`
 //!   leaves. (Client-side post-checks that fail *after* a call returned
-//!   cancel at the commit barrier instead, so up to the in-flight window
-//!   of later batches may already be on the platform — the same bounded
-//!   exposure as the documented crash window.)
+//!   close the gate only as their job's work returns, so up to the
+//!   in-flight window of later batches may already be on the platform —
+//!   the same bounded exposure as the documented crash window.)
 //!
 //! On top of the scheduler sits the **chunk lifecycle**, the legs a row
 //! goes through on its way to a result cell: cache read, bulk probe (a
@@ -67,174 +67,108 @@ use crate::value::{canonical, Value};
 use reprowd_platform::types::{TaskId, TaskSpec};
 use reprowd_platform::IssueGate;
 use reprowd_quality::{majority_vote_matrix, TiePolicy, VoteMatrix};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 // ---------------------------------------------------------------- driver
 
-/// Worker → coordinator message: a finished job, or a source failure.
-enum Msg<J, T> {
-    Finished(usize, J, Result<T>),
-    SourceFailed(usize, Error),
-}
-
-/// Runs jobs through the bounded-depth pipeline.
+/// Runs jobs through the bounded-depth pipeline: `depth` copies of one
+/// worker loop — claim job `k`, run it, wait for commit turn `k`, commit
+/// it — the calling thread being one of them.
 ///
 /// * `source(k)` produces job `k` (`None` = stream exhausted). Called in
 ///   ascending `k` under a lock, so stateful sources (iterators,
 ///   running hashes) see their pulls in order even though workers race to
 ///   claim.
-/// * `work(k, &mut job)` performs the job's platform round-trips on a
-///   worker thread; its gated calls must use slots
-///   `[k·slots_per_job, (k+1)·slots_per_job)`.
-/// * `commit(k, job, out)` runs on the calling thread, strictly in
-///   ascending `k`.
+/// * `work(k, &mut job)` performs the job's platform round-trips; its
+///   gated calls must use slots `[k·slots_per_job, (k+1)·slots_per_job)`.
+/// * `commit(k, job, out)` runs on the worker that ran job `k`, strictly
+///   in ascending `k`, with the job's outcome; handed an error, it must
+///   return one.
 ///
-/// On the first error (by job order): jobs before it are committed, the
-/// gate is closed from that job's slots, and that error is returned. A
-/// panic in `source`, `work`, or `commit` is such an error, at every depth.
+/// A worker commits its job before it claims another, so at most `depth`
+/// jobs are ever claimed but not yet committed. On the first error (by
+/// job order): jobs before it are committed, the gate is closed from that
+/// job's slots, and that error is returned. A panic in `source`, `work`,
+/// or `commit` is such an error, at every depth.
 pub(crate) fn run_windowed<J, T>(
     depth: usize,
     slots_per_job: u64,
     gate: &IssueGate,
-    mut source: impl FnMut(usize) -> Result<Option<J>> + Send,
+    source: impl FnMut(usize) -> Result<Option<J>> + Send,
     work: impl Fn(usize, &mut J) -> Result<T> + Sync,
-    mut commit: impl FnMut(usize, J, T) -> Result<()>,
-) -> Result<()>
-where
-    J: Send,
-    T: Send,
-{
-    let mut source = move |k: usize| caught("source", k, || source(k));
-    let work = move |k: usize, job: &mut J| caught("job", k, || work(k, job));
-    let mut commit = move |k: usize, job: J, out: T| caught("commit", k, || commit(k, job, out));
-    if depth <= 1 {
-        // The sequential engine, verbatim: claim, work, commit, repeat.
-        let mut k = 0usize;
-        while let Some(mut job) = source(k)? {
-            let out = work(k, &mut job)?;
-            commit(k, job, out)?;
-            k += 1;
-        }
-        return Ok(());
-    }
-
-    struct SourceState<S> {
+    commit: impl FnMut(usize, J, Result<T>) -> Result<()> + Send,
+) -> Result<()> {
+    /// The commit turns: the job whose turn it is, the committer, and the
+    /// first failure by job index (no job from it on commits).
+    struct Turns<C> {
         next: usize,
-        /// Jobs committed so far — claims may run at most `window` ahead
-        /// of this (backpressure: bounds resident jobs, and with them the
-        /// streaming operators' memory, by the in-flight window).
-        committed: usize,
-        done: bool,
-        f: S,
+        failed: Option<(usize, Error)>,
+        commit: C,
     }
-    let window = 2 * depth; // `depth` in work + `depth` awaiting commit
-    let claims = Mutex::new(SourceState { next: 0, committed: 0, done: false, f: source });
-    let claims_cv = std::sync::Condvar::new();
-    let abort = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<Msg<J, T>>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..depth {
-            let tx = tx.clone();
-            let claims = &claims;
-            let claims_cv = &claims_cv;
-            let abort = &abort;
-            let work = &work;
-            scope.spawn(move || loop {
-                let claimed = {
-                    let mut s = claims.lock().expect("pipeline claim lock");
-                    loop {
-                        if abort.load(Ordering::Relaxed) || s.done {
-                            break;
-                        }
-                        if s.next < s.committed + window {
-                            break;
-                        }
-                        s = claims_cv.wait(s).expect("pipeline claim wait");
-                    }
-                    if abort.load(Ordering::Relaxed) || s.done {
-                        None
-                    } else {
-                        let k = s.next;
-                        match (s.f)(k) {
-                            Ok(Some(job)) => {
-                                s.next += 1;
-                                Some((k, job))
-                            }
-                            Ok(None) => {
-                                s.done = true;
-                                None
-                            }
-                            Err(e) => {
-                                s.done = true;
-                                let _ = tx.send(Msg::SourceFailed(k, e));
-                                None
-                            }
-                        }
-                    }
-                };
-                let Some((k, mut job)) = claimed else { return };
-                let out = work(k, &mut job);
-                let failed = out.is_err();
-                let _ = tx.send(Msg::Finished(k, job, out));
-                if failed {
-                    return;
-                }
-            });
+    // The next job to claim, and the source until it is exhausted or fails.
+    let claims = Mutex::new((0usize, Some(source)));
+    let turns = Mutex::new(Turns { next: 0, failed: None, commit });
+    let turn_cv = Condvar::new();
+    let fail = |t: &mut Turns<_>, k: usize, e: Error| {
+        gate.close_from(k as u64 * slots_per_job);
+        if t.failed.as_ref().is_none_or(|(f, _)| k < *f) {
+            t.failed = Some((k, e));
         }
-        drop(tx);
-
-        // Coordinator: buffer out-of-order completions, commit in order,
-        // stop at the first error by job index.
-        let mut buffer: BTreeMap<usize, (J, T)> = BTreeMap::new();
-        let mut next_commit = 0usize;
-        let mut first_err: Option<(usize, Error)> = None;
-        let fail = |k: usize, e: Error, first_err: &mut Option<(usize, Error)>| {
-            abort.store(true, Ordering::Relaxed);
-            gate.close_from(k as u64 * slots_per_job);
-            if first_err.as_ref().is_none_or(|(fk, _)| k < *fk) {
-                *first_err = Some((k, e));
+        turn_cv.notify_all();
+    };
+    let worker = || loop {
+        let mut c = claims.lock().expect("pipeline claim lock");
+        let (k, Some(source)) = (c.0, c.1.as_mut()) else { return };
+        let mut job = match caught("source", k, || source(k)) {
+            Ok(Some(job)) => job,
+            end => {
+                c.1 = None;
+                drop(c);
+                if let Err(e) = end {
+                    fail(&mut turns.lock().expect("pipeline turn lock"), k, e);
+                }
+                return;
             }
-            // Wake workers parked on the claim backpressure so they
-            // observe the abort and exit.
-            claims_cv.notify_all();
         };
-        for msg in rx {
-            match msg {
-                Msg::Finished(k, job, Ok(out)) => {
-                    buffer.insert(k, (job, out));
-                }
-                Msg::Finished(k, _, Err(e)) | Msg::SourceFailed(k, e) => {
-                    fail(k, e, &mut first_err);
-                }
-            }
-            let before = next_commit;
-            while first_err.as_ref().is_none_or(|(fk, _)| next_commit < *fk) {
-                let Some((job, out)) = buffer.remove(&next_commit) else { break };
-                if let Err(e) = commit(next_commit, job, out) {
-                    fail(next_commit, e, &mut first_err);
-                    break;
-                }
-                next_commit += 1;
-            }
-            if next_commit != before {
-                // Release claim backpressure for the committed jobs.
-                claims.lock().expect("pipeline claim lock").committed = next_commit;
-                claims_cv.notify_all();
-            }
+        c.0 += 1;
+        drop(c);
+        let out = caught("job", k, || work(k, &mut job));
+        if out.is_err() {
+            // Cancel every later job's calls now; this job still commits
+            // what it did, in its turn.
+            gate.close_from(k as u64 * slots_per_job);
         }
-        match first_err {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
+        let failed_by = |t: &Turns<_>| t.failed.as_ref().is_some_and(|(f, _)| *f <= k);
+        let mut t = turn_cv
+            .wait_while(turns.lock().expect("pipeline turn lock"), |t| t.next < k && !failed_by(t))
+            .expect("pipeline turn wait");
+        if failed_by(&t) {
+            return;
         }
-    })
+        if let Err(e) = caught("commit", k, || (t.commit)(k, job, out)) {
+            fail(&mut t, k, e);
+            return;
+        }
+        t.next += 1;
+        turn_cv.notify_all();
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..depth {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    match turns.into_inner().expect("pipeline turn lock").failed {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
 }
 
 /// Runs one pipeline callback, turning a panic into an error. Uncaught, a
-/// panicking job never commits, so at depth > 1 the other workers stay
-/// parked on the claim backpressure and the run hangs instead of failing.
+/// panicking job never commits, so at depth > 1 the workers holding later
+/// jobs wait for their commit turns forever instead of failing the run.
 fn caught<R>(what: &str, k: usize, f: impl FnOnce() -> Result<R>) -> Result<R> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         let msg = payload
@@ -482,9 +416,10 @@ impl<'a> Lifecycle<'a> {
         if probed > 0 {
             metrics.record_probe(probed);
         }
-        // Copied here, on the thread that encodes the cells, not by the
-        // publish leg on a worker: at depth 4 on a 2-core host, copying on
-        // the workers made a fresh 2·10⁴-row publish ~7% slower.
+        // Copied here, in the commit turn, rather than by the publish leg:
+        // at depth 4 on a 2-core host the two placements run a fresh
+        // 2·10⁴-row publish equally fast (medians 41.0k and 40.2k rows/s
+        // over 6 alternating runs each, within run-to-run spread).
         for lane in lanes.iter_mut().filter(|lane| lane.did.published) {
             if let Some(cell) = &mut lane.task {
                 cell.object = lane.object.clone();
@@ -524,7 +459,7 @@ impl<'a> Lifecycle<'a> {
     /// Runs `lanes` through the pipeline in chunks of the context's batch
     /// size: `legs(chunk, gate, base)` is a chunk's job, on a worker thread,
     /// with slots `base..base + slots`; each finished chunk is committed in
-    /// order and its lanes handed to `sink`.
+    /// order, on its worker, and its lanes handed to `sink`.
     ///
     /// A chunk whose legs fail right after the committed prefix still
     /// commits what its earlier legs did: a streamed chunk that dies in its
@@ -536,17 +471,15 @@ impl<'a> Lifecycle<'a> {
         lanes: impl Iterator<Item = Lane> + Send,
         slots: u64,
         legs: impl Fn(&mut [Lane], &IssueGate, u64) -> Result<()> + Sync,
-        mut sink: impl FnMut(Lane) -> Result<()>,
+        mut sink: impl FnMut(Lane) -> Result<()> + Send,
     ) -> Result<StreamReport> {
         let batch_size = self.cc.config().batch_size;
         let gate = IssueGate::new();
         let inflight = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        // The lowest-numbered chunk whose legs failed, as they left it.
-        let failed: Mutex<Option<(usize, Vec<Lane>)>> = Mutex::new(None);
+        let mut peak = 0;
         let mut report = StreamReport::default();
         let mut lanes = lanes;
-        let outcome = run_windowed(
+        run_windowed(
             self.cc.config().inflight_batches,
             slots,
             &gate,
@@ -555,22 +488,16 @@ impl<'a> Lifecycle<'a> {
                 if chunk.is_empty() {
                     return Ok(None);
                 }
-                let now = inflight.fetch_add(chunk.len(), Ordering::Relaxed) + chunk.len();
-                peak.fetch_max(now, Ordering::Relaxed);
+                peak = peak.max(inflight.fetch_add(chunk.len(), Ordering::Relaxed) + chunk.len());
                 Ok(Some(chunk))
             },
-            |k, chunk: &mut Vec<Lane>| {
-                let done = legs(chunk, &gate, k as u64 * slots);
-                if done.is_err() {
-                    let mut failed =
-                        failed.lock().expect("failed-chunk lock poisoned by a panicking leg");
-                    if failed.as_ref().is_none_or(|(first, _)| k < *first) {
-                        *failed = Some((k, std::mem::take(chunk)));
-                    }
+            |k, chunk: &mut Vec<Lane>| legs(chunk, &gate, k as u64 * slots),
+            |_k, mut chunk, done| {
+                if let Err(e) = done {
+                    // Best effort: the legs' error is the one to report.
+                    let _ = self.commit(&mut chunk, &mut RunStats::default());
+                    return Err(e);
                 }
-                done
-            },
-            |_k, mut chunk, ()| {
                 self.commit(&mut chunk, &mut report.stats)?;
                 inflight.fetch_sub(chunk.len(), Ordering::Relaxed);
                 report.chunks += 1;
@@ -580,19 +507,8 @@ impl<'a> Lifecycle<'a> {
                 }
                 Ok(())
             },
-        );
-        if let Err(e) = outcome {
-            let failed =
-                failed.into_inner().expect("failed-chunk lock poisoned by a panicking leg");
-            if let Some((k, mut chunk)) = failed {
-                if k as u64 == report.chunks {
-                    // Best effort: the legs' error is the one to report.
-                    let _ = self.commit(&mut chunk, &mut RunStats::default());
-                }
-            }
-            return Err(e);
-        }
-        report.peak_inflight_rows = peak.load(Ordering::Relaxed);
+        )?;
+        report.peak_inflight_rows = peak;
         Ok(report)
     }
 
@@ -735,12 +651,14 @@ pub struct StreamReport {
     pub chunks: u64,
     /// High-water mark of rows resident in the pipeline at once (claimed
     /// but not yet committed) — the operators' memory-bound guarantee:
-    /// bounded by the in-flight window, never by the candidate count.
+    /// at most `batch_size × inflight_batches`, never the candidate count.
     pub peak_inflight_rows: usize,
 }
 
 /// Streams `candidates` through the full publish→wait→fetch lifecycle and
-/// hands each collected row to `sink`, in input order.
+/// hands each collected row to `sink`, in input order. The sink runs on
+/// the pipeline worker that committed the row's chunk, one chunk at a
+/// time.
 ///
 /// This is the operators' execution engine: candidates are pulled lazily
 /// (generation interleaves with publishing), chunked by the context's
@@ -760,7 +678,7 @@ pub fn run_stream(
     cc: &CrowdContext,
     spec: &StreamSpec,
     candidates: impl Iterator<Item = Value> + Send,
-    mut sink: impl FnMut(StreamedRow) -> Result<()>,
+    mut sink: impl FnMut(StreamedRow) -> Result<()> + Send,
 ) -> Result<StreamReport> {
     crate::context::validate_experiment_name(&spec.experiment)?;
     if spec.n_assignments == 0 {
@@ -812,34 +730,44 @@ mod tests {
     use super::*;
     use crate::val;
     use reprowd_platform::Error as PlatformError;
+    use std::sync::mpsc;
 
     // ------------------------------------------------------- run_windowed
+
+    /// A seeded per-job delay. Taken before and after a job's gate turn,
+    /// it makes jobs reach the gate and finish out of order at depth > 1,
+    /// so finished jobs wait for their commit turns.
+    fn jitter(k: usize) {
+        std::thread::sleep(std::time::Duration::from_millis((k * 7 % 5) as u64));
+    }
 
     #[test]
     fn commits_in_order_at_every_depth() {
         for depth in [1usize, 2, 4, 8] {
             let gate = IssueGate::new();
             let mut jobs = (0..17u64).collect::<Vec<_>>().into_iter();
-            let committed = std::cell::RefCell::new(Vec::new());
+            let mut committed = Vec::new();
             run_windowed(
                 depth,
                 1,
                 &gate,
                 |_k| Ok(jobs.next()),
                 |k, job: &mut u64| {
+                    jitter(k);
                     // Effects in slot order even though workers race.
                     let turn = gate.turn(k as u64)?;
                     turn.complete();
+                    jitter(k + 1);
                     Ok(*job * 2)
                 },
                 |k, job, out| {
-                    assert_eq!(out, job * 2);
-                    committed.borrow_mut().push(k);
+                    assert_eq!(out?, job * 2);
+                    committed.push(k);
                     Ok(())
                 },
             )
             .unwrap();
-            assert_eq!(*committed.borrow(), (0..17).collect::<Vec<_>>(), "depth {depth}");
+            assert_eq!(committed, (0..17).collect::<Vec<_>>(), "depth {depth}");
         }
     }
 
@@ -848,13 +776,14 @@ mod tests {
         for depth in [1usize, 2, 4, 8] {
             let gate = IssueGate::new();
             let mut jobs = (0..12u64).collect::<Vec<_>>().into_iter();
-            let committed = std::cell::RefCell::new(Vec::new());
+            let mut committed = Vec::new();
             let err = run_windowed(
                 depth,
                 1,
                 &gate,
                 |_k| Ok(jobs.next()),
                 |k, _job: &mut u64| {
+                    jitter(k);
                     let turn = gate.turn(k as u64)?;
                     if k == 5 {
                         // Failing inside the turn: drop cancels later slots.
@@ -862,16 +791,18 @@ mod tests {
                         return Err(Error::State("job 5 exploded".into()));
                     }
                     turn.complete();
+                    jitter(k + 1);
                     Ok(())
                 },
-                |k, _job, _out| {
-                    committed.borrow_mut().push(k);
+                |k, _job, out| {
+                    out?;
+                    committed.push(k);
                     Ok(())
                 },
             )
             .unwrap_err();
             assert!(err.to_string().contains("job 5 exploded"), "depth {depth}: {err}");
-            assert_eq!(*committed.borrow(), vec![0, 1, 2, 3, 4], "depth {depth}");
+            assert_eq!(committed, vec![0, 1, 2, 3, 4], "depth {depth}");
         }
     }
 
@@ -879,7 +810,7 @@ mod tests {
     fn commit_error_stops_the_stream() {
         let gate = IssueGate::new();
         let mut jobs = (0..8u64).collect::<Vec<_>>().into_iter();
-        let committed = std::cell::RefCell::new(0usize);
+        let mut committed = 0usize;
         let err = run_windowed(
             4,
             1,
@@ -889,23 +820,24 @@ mod tests {
                 gate.turn(k as u64)?.complete();
                 Ok(())
             },
-            |k, _job, _out| {
+            |k, _job, out| {
+                out?;
                 if k == 3 {
                     return Err(Error::State("commit 3 failed".into()));
                 }
-                *committed.borrow_mut() += 1;
+                committed += 1;
                 Ok(())
             },
         )
         .unwrap_err();
         assert!(err.to_string().contains("commit 3 failed"));
-        assert_eq!(*committed.borrow(), 3);
+        assert_eq!(committed, 3);
     }
 
     #[test]
     fn source_error_reports_after_prior_jobs_commit() {
         let gate = IssueGate::new();
-        let committed = std::cell::RefCell::new(Vec::new());
+        let mut committed = Vec::new();
         let err = run_windowed(
             4,
             1,
@@ -921,14 +853,15 @@ mod tests {
                 gate.turn(k as u64)?.complete();
                 Ok(())
             },
-            |k, _job, _out| {
-                committed.borrow_mut().push(k);
+            |k, _job, out| {
+                out?;
+                committed.push(k);
                 Ok(())
             },
         )
         .unwrap_err();
         assert!(err.to_string().contains("source died"));
-        assert_eq!(*committed.borrow(), (0..6).collect::<Vec<_>>());
+        assert_eq!(committed, (0..6).collect::<Vec<_>>());
     }
 
     #[test]
@@ -951,7 +884,7 @@ mod tests {
                 turn.complete();
                 Ok(())
             },
-            |_k, _job, _out| Ok(()),
+            |_k, _job, out| out,
         )
         .unwrap_err();
         assert!(err.to_string().contains("the real one"), "got: {err}");
@@ -992,7 +925,8 @@ mod tests {
                             gate.turn(k as u64)?.complete();
                             Ok(())
                         },
-                        |k, _job, _out| {
+                        |k, _job, out| {
+                            out?;
                             assert!(!(culprit == "commit" && k == 2), "commit 2 exploded");
                             committed.push(k);
                             Ok(())
@@ -1077,6 +1011,33 @@ mod tests {
             };
             assert_eq!(stats.tasks_republished, 3, "streamed={streamed}");
             assert_eq!(run_counts, vec![4, 4, 4], "streamed={streamed}: redundancy 4 is kept");
+        }
+    }
+
+    #[test]
+    fn stream_residency_is_bounded_by_the_inflight_window() {
+        // A worker commits its chunk before it claims another, so no more
+        // than `depth` chunks are ever claimed but not yet committed.
+        let spec = StreamSpec {
+            experiment: "resident".into(),
+            presenter: crate::presenter::Presenter::image_label("Q?", &["Yes", "No"]),
+            n_assignments: 1,
+        };
+        let batch_size = 5;
+        for depth in [1usize, 2, 4, 8] {
+            let cc = CrowdContext::in_memory_sim(3)
+                .with_batch_size(batch_size)
+                .and_then(|cc| cc.with_inflight_batches(depth))
+                .unwrap();
+            let candidates = (0..43 * batch_size).map(|i| Value::from(format!("obj{i}")));
+            let report = run_stream(&cc, &spec, candidates, |_| Ok(())).unwrap();
+            assert_eq!(report.chunks, 43, "depth {depth}");
+            assert!(
+                report.peak_inflight_rows <= batch_size * depth,
+                "depth {depth}: {} rows resident, window {}",
+                report.peak_inflight_rows,
+                batch_size * depth
+            );
         }
     }
 

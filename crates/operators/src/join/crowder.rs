@@ -12,8 +12,9 @@
 //! ([`self_join_stream`]) straight into the pipelined execution engine
 //! ([`run_stream`]), so candidate generation interleaves with task
 //! publishing and the peak pair memory is bounded by the in-flight window
-//! (batch size × twice the in-flight depth — the scheduler's claim
-//! backpressure — reported as [`CrowdErResult::peak_inflight_pairs`]) —
+//! (batch size × the in-flight depth: each pipeline worker commits its
+//! chunk before it claims another — reported as
+//! [`CrowdErResult::peak_inflight_pairs`]) —
 //! never by the candidate count, which lets the join scale past 10⁴
 //! records without an `O(n²)` resident pair vector.
 
@@ -73,8 +74,8 @@ pub struct CrowdErResult {
     /// Cache-reuse statistics of the crowd phase.
     pub stats: reprowd_core::crowddata::RunStats,
     /// High-water mark of crowd-pass pairs resident in the pipeline at
-    /// once — bounded by batch size × twice the in-flight depth (the
-    /// scheduler's backpressure window), regardless of how many
+    /// once — bounded by batch size × the in-flight depth (the chunks the
+    /// pipeline workers hold until they commit), regardless of how many
     /// candidates the machine pass emits.
     pub peak_inflight_pairs: usize,
 }
