@@ -1,8 +1,8 @@
 //! # reprowd-bench
 //!
 //! The experiment harness. Every figure/claim of the paper maps to one
-//! `harness = false` bench target (E1–E15, indexed in ARCHITECTURE.md's
-//! "Experiment suite"; E13–E15 record their numbers to `BENCH_E*.json`);
+//! `harness = false` bench target (E1–E16, indexed in ARCHITECTURE.md's
+//! "Experiment suite"; E13–E16 record their numbers to `BENCH_E*.json`);
 //! three Criterion targets micro-benchmark the substrates. Run everything with
 //! `cargo bench --workspace`, or one experiment with
 //! `cargo bench -p reprowd-bench --bench exp6_crowder_join`.

@@ -30,7 +30,7 @@ use reprowd_quality::{
     majority_vote_matrix, weighted_majority_vote_matrix, DawidSkene, DsConfig, OneCoin,
     OneCoinConfig, TiePolicy, VoteMatrix, WorkerId,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// One row of a CrowdData table.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ pub struct Row {
     /// The collected runs, once step 4 ran for this row.
     pub result: Option<StoredResult>,
     /// Derived (recomputed, non-persisted) cells by column name.
-    pub derived: BTreeMap<String, Value>,
+    pub derived: serde_json::Map,
 }
 
 /// Cache-reuse accounting for the current CrowdData instance.
@@ -149,7 +149,7 @@ impl CrowdData {
                 object,
                 task: None,
                 result: None,
-                derived: BTreeMap::new(),
+                derived: serde_json::Map::new(),
             });
         }
         Ok(self)

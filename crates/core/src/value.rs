@@ -3,10 +3,10 @@
 //! CrowdData cells hold JSON values (`serde_json::Value`): the database file
 //! a researcher ships must be self-describing, and JSON is what the
 //! original system stored in SQLite. The codec writes every object with its
-//! keys in ascending order — a `Value`'s map is a `BTreeMap`, and derived
-//! structs sort their fields at compile time — so equal values encode to
-//! one *canonical* byte string, which is what makes content-hashed cache
-//! keys stable across runs and machines.
+//! keys in ascending order — a `Value`'s map keeps its entries sorted by
+//! key in one vector, and derived structs sort their fields at compile
+//! time — so equal values encode to one *canonical* byte string, which is
+//! what makes content-hashed cache keys stable across runs and machines.
 
 /// The cell/object type of CrowdData tables.
 pub type Value = serde_json::Value;

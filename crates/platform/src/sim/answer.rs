@@ -61,9 +61,31 @@ impl AnswerModel {
         payload
     }
 
-    /// Extracts the model from a payload, if present.
+    /// Extracts the model from a payload, if present. Reads the borrowed
+    /// tree field by field, accepting exactly what the derived decoder
+    /// accepts, so publishing a task neither clones nor re-encodes it.
     pub fn extract(payload: &serde_json::Value) -> Option<AnswerModel> {
-        payload.get(SIM_FIELD).and_then(|v| serde_json::from_value(v.clone()).ok())
+        let sim = payload.get(SIM_FIELD)?;
+        let field = |key: &str| sim.get(key).unwrap_or(&serde_json::Value::Null);
+        let number = |key: &str| field(key).as_f64().filter(|f| f.is_finite());
+        Some(match sim.get("kind")?.as_str()? {
+            "label" => AnswerModel::Label {
+                truth: usize::try_from(field("truth").as_u64()?).ok()?,
+                labels: field("labels")
+                    .as_array()?
+                    .iter()
+                    .map(|l| l.as_str().map(str::to_owned))
+                    .collect::<Option<_>>()?,
+                difficulty: number("difficulty")?,
+            },
+            "compare" => AnswerModel::Compare { p_first: number("p_first")? },
+            "match" => AnswerModel::Match {
+                is_match: field("is_match").as_bool()?,
+                ambiguity: number("ambiguity")?,
+            },
+            "fixed" => AnswerModel::Fixed { value: field("value").clone() },
+            _ => return None,
+        })
     }
 
     /// Samples `worker`'s answer. Deterministic given the RNG state.
@@ -160,6 +182,38 @@ mod tests {
     #[test]
     fn extract_absent_is_none() {
         assert_eq!(AnswerModel::extract(&serde_json::json!({"x": 1})), None);
+    }
+
+    #[test]
+    fn extract_accepts_what_the_derived_decoder_accepts() {
+        for sim in [
+            r#"{"kind":"label","truth":1,"labels":["a","b"],"difficulty":0}"#,
+            r#"{"kind":"label","truth":1,"labels":["a","b"],"difficulty":0.5,"extra":[1]}"#,
+            r#"{"kind":"label","truth":1.0,"labels":["a"],"difficulty":0.5}"#,
+            r#"{"kind":"label","truth":-1,"labels":["a"],"difficulty":0.5}"#,
+            r#"{"kind":"label","truth":0,"labels":["a",2],"difficulty":0.5}"#,
+            r#"{"kind":"label","truth":0,"labels":"a","difficulty":0.5}"#,
+            r#"{"kind":"label","truth":0,"labels":[]}"#,
+            r#"{"kind":"compare","p_first":0.75}"#,
+            r#"{"kind":"compare","p_first":"0.75"}"#,
+            r#"{"kind":"compare","p_first":1e400}"#,
+            r#"{"kind":"compare"}"#,
+            r#"{"kind":"match","is_match":true,"ambiguity":1}"#,
+            r#"{"kind":"match","is_match":1,"ambiguity":1}"#,
+            r#"{"kind":"fixed","value":{"b":[1,null],"a":"x"}}"#,
+            r#"{"kind":"fixed"}"#,
+            r#"{"kind":"other","value":1}"#,
+            r#"{"kind":7}"#,
+            r#"{"value":1}"#,
+            r#"["fixed"]"#,
+            r#""fixed""#,
+            "null",
+        ] {
+            let sim: serde_json::Value = serde_json::from_str(sim).unwrap();
+            let derived = serde_json::from_value::<AnswerModel>(sim.clone()).ok();
+            let payload = serde_json::json!({ "x": 1, "_sim": sim });
+            assert_eq!(AnswerModel::extract(&payload), derived, "{sim}");
+        }
     }
 
     #[test]
