@@ -9,8 +9,10 @@
 //! phase's peak, the database bytes and the bytes per row.
 //!
 //! What it pins: each phase peaks under a per-row bound. A row holds its
-//! object several times over (row, task cell, task payload, simulator
-//! copy), so the bound tracks what one in-memory JSON object costs.
+//! object as a tree once and its task cell as encoded bytes (the object
+//! and the rendered payload again, as text); the fresh phase adds the
+//! simulator's copy of each task. So the bound tracks what one in-memory
+//! JSON object and one stored cell cost.
 //!
 //! Writes `BENCH_E16.json` at the workspace root in full mode. Smoke mode
 //! (`REPROWD_E16_SMOKE=1`, used by CI) runs at n=10⁴ under the same bounds.
@@ -33,11 +35,12 @@ const DB_VAR: &str = "REPROWD_E16_DB";
 const ROWS_VAR: &str = "REPROWD_E16_ROWS";
 
 /// Peak resident bytes per input row each phase must stay under. The
-/// peak per row barely moves between n=10⁴ and n=10⁵. With `json::Map` a
-/// sorted vector it measured ~10.4 KB (fresh) and ~7.1–7.4 KB (rerun);
-/// with the `BTreeMap` it replaced, ~17.7 KB and ~11.4–11.6 KB.
-const FRESH_PEAK_PER_ROW: f64 = 13_000.0;
-const RERUN_PEAK_PER_ROW: f64 = 9_000.0;
+/// peak per row barely moves between n=10⁴ and n=10⁵. With rows holding
+/// task cells as bytes it measured ~7.0–7.4 KB (fresh) and ~3.6–3.9 KB
+/// (rerun); with each cell decoded into a tree, ~10.4 KB and ~7.1–7.4 KB;
+/// with the `BTreeMap` `json::Map` before that, ~17.7 KB and ~11.4–11.6 KB.
+const FRESH_PEAK_PER_ROW: f64 = 9_500.0;
+const RERUN_PEAK_PER_ROW: f64 = 5_000.0;
 
 /// What one phase's child process reports.
 struct Phase {

@@ -24,7 +24,7 @@ use crate::error::{Error, Result};
 use crate::hash::RowKeyer;
 use crate::pipeline::{Lane, Lifecycle};
 use crate::presenter::Presenter;
-use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
+use crate::store::{ExperimentStore, Manifest, StoredResult, TaskCell};
 use crate::value::{canonical, Value};
 use reprowd_quality::{
     majority_vote_matrix, weighted_majority_vote_matrix, DawidSkene, DsConfig, OneCoin,
@@ -42,8 +42,13 @@ pub struct Row {
     pub hash: String,
     /// The input object (paper: the `object` column).
     pub object: Value,
-    /// The published task, once step 3 ran for this row.
-    pub task: Option<StoredTask>,
+    /// The published task, once step 3 ran for this row: the cell's stored
+    /// bytes, with only its header (task id, redundancy) decoded. The rest
+    /// is decoded by each read — [`lineage`](CrowdData::lineage), the
+    /// `task` [`column`](CrowdData::column), [`export_json`](CrowdData::export_json)
+    /// — and a damaged body surfaces there as a codec `Err`. See
+    /// [`TaskCell`].
+    pub task: Option<TaskCell>,
     /// The collected runs, once step 4 ran for this row.
     pub result: Option<StoredResult>,
     /// Derived (recomputed, non-persisted) cells by column name.
@@ -443,30 +448,15 @@ impl CrowdData {
     }
 
     /// A full column as values: `"object"`, `"task"`, `"result"`, or any
-    /// derived column. Missing cells are `null`.
+    /// derived column. Missing cells are `null`; a cell that fails to
+    /// decode is an `Err`.
     pub fn column(&self, name: &str) -> Result<Vec<Value>> {
         match name {
             "object" => Ok(self.rows.iter().map(|r| r.object.clone()).collect()),
-            "task" => Ok(self
-                .rows
-                .iter()
-                .map(|r| {
-                    r.task
-                        .as_ref()
-                        .map(|t| serde_json::to_value(&t.task).unwrap_or(Value::Null))
-                        .unwrap_or(Value::Null)
-                })
-                .collect()),
-            "result" => Ok(self
-                .rows
-                .iter()
-                .map(|r| {
-                    r.result
-                        .as_ref()
-                        .map(|res| serde_json::to_value(&res.runs).unwrap_or(Value::Null))
-                        .unwrap_or(Value::Null)
-                })
-                .collect()),
+            "task" => self.rows.iter().map(|r| Ok(task_json(r)?.unwrap_or(Value::Null))).collect(),
+            "result" => {
+                self.rows.iter().map(|r| Ok(result_json(r)?.unwrap_or(Value::Null))).collect()
+            }
             other => {
                 // An empty table has every column, all empty.
                 if !self.rows.is_empty()
@@ -498,12 +488,8 @@ impl CrowdData {
                 "index": row.index,
                 "hash": row.hash,
                 "object": row.object,
-                "task": row.task.as_ref().map(|t| serde_json::to_value(&t.task)).transpose()?,
-                "result": row
-                    .result
-                    .as_ref()
-                    .map(|r| serde_json::to_value(&r.runs))
-                    .transpose()?,
+                "task": task_json(row)?,
+                "result": result_json(row)?,
                 "derived": row.derived,
             }));
         }
@@ -537,6 +523,17 @@ impl CrowdData {
             .put(self.manifest.name.as_bytes(), &self.manifest)?;
         Ok(())
     }
+}
+
+/// The row's platform task as JSON, decoded from its cell (`None` before
+/// step 3).
+fn task_json(row: &Row) -> Result<Option<Value>> {
+    row.task.as_ref().map(|cell| Ok(serde_json::to_value(cell.decode()?.task)?)).transpose()
+}
+
+/// The row's task runs as JSON (`None` before step 4).
+fn result_json(row: &Row) -> Result<Option<Value>> {
+    Ok(row.result.as_ref().map(|r| serde_json::to_value(&r.runs)).transpose()?)
 }
 
 #[cfg(test)]

@@ -140,10 +140,10 @@ impl CrowdData {
         let derivation = match column {
             "object" => Derivation::Source,
             "task" => {
-                let stored = r.task.as_ref().ok_or_else(|| {
+                let cell = r.task.as_ref().ok_or_else(|| {
                     Error::MissingColumn(format!("row {row} has no task cell yet"))
                 })?;
-                Derivation::Published { task: stored.task.clone() }
+                Derivation::Published { task: cell.decode()?.task }
             }
             "result" => {
                 let stored = r.result.as_ref().ok_or_else(|| {

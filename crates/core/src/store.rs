@@ -9,7 +9,8 @@
 //! * `task` — one row per published task, keyed by
 //!   `<experiment>/<presenter-fingerprint>/<row-content-hash>`. This key is
 //!   the whole fault-recovery story: it derives from *what was asked*, not
-//!   from when or in which order.
+//!   from when or in which order. A row holds its cell as a [`TaskCell`]:
+//!   the stored bytes and a two-field header.
 //! * `result` — the collected task runs, same key.
 //!
 //! Only these hit the database; derived columns are recomputed, matching
@@ -18,7 +19,7 @@
 
 use crate::error::Result;
 use crate::value::Value;
-use reprowd_platform::types::{Task, TaskRun};
+use reprowd_platform::types::{Task, TaskId, TaskRun};
 use reprowd_storage::{Backend, Table};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -66,6 +67,83 @@ pub struct StoredTask {
     pub n_assignments: u32,
 }
 
+/// A row's `task` cell as the row holds it: the cell's stored bytes, and
+/// the header the chunk lifecycle runs on — the platform task id and the
+/// cell's redundancy.
+///
+/// * **Decoded eagerly: the header only.** The cache leg reads it with a
+///   typed reader that checks the rest of the cell as JSON but builds none
+///   of it, and the publish leg encodes a fresh cell as soon as the
+///   platform returns its task, then drops the tree. Either way the row
+///   keeps the exact stored bytes, so a commit writes them back unchanged.
+/// * **Decoded on first read: the rest.** [`decode`](TaskCell::decode)
+///   builds the full [`StoredTask`] (payload, object, publish time,
+///   status) for the readers that want it — lineage, the `task` column,
+///   `export_json` — and keeps nothing.
+/// * **A damaged body.** A cell that is valid JSON with a good header but
+///   a bad body (say, an unknown status) passes the cache leg, so a rerun
+///   reuses its task with zero crowd calls; each reader then gets a codec
+///   `Err` from `decode`. A cell that is not JSON at all, or lacks the
+///   header, fails the cache leg.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskCell {
+    id: TaskId,
+    n_assignments: u32,
+    bytes: Box<[u8]>,
+}
+
+/// The part of a stored task cell [`TaskCell::from_bytes`] builds; the
+/// pull parser checks and skips every other key.
+#[derive(Deserialize)]
+struct Header {
+    task: TaskHeader,
+    n_assignments: u32,
+}
+
+#[derive(Deserialize)]
+struct TaskHeader {
+    id: TaskId,
+}
+
+impl TaskCell {
+    /// Encodes `cell` exactly as the task table stores it.
+    pub fn encode(cell: &StoredTask) -> Self {
+        TaskCell {
+            id: cell.task.id,
+            n_assignments: cell.n_assignments,
+            bytes: serde::json::to_vec(cell).into_boxed_slice(),
+        }
+    }
+
+    /// Keeps a stored cell's `bytes`, reading only its header.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
+        let Header { task, n_assignments } =
+            serde_json::from_slice(&bytes).map_err(reprowd_storage::Error::from)?;
+        Ok(TaskCell { id: task.id, n_assignments, bytes: bytes.into_boxed_slice() })
+    }
+
+    /// The platform's id for the task.
+    pub fn id(&self) -> TaskId {
+        self.id
+    }
+
+    /// Redundancy requested for the task.
+    pub fn n_assignments(&self) -> u32 {
+        self.n_assignments
+    }
+
+    /// The cell's stored bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Decodes the whole cell; a body that is not a task is a codec error,
+    /// as the table layer reports one.
+    pub fn decode(&self) -> Result<StoredTask> {
+        Ok(serde_json::from_slice(&self.bytes).map_err(reprowd_storage::Error::from)?)
+    }
+}
+
 /// The persisted `result` cell of one row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredResult {
@@ -109,6 +187,7 @@ impl ExperimentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::val;
     use reprowd_platform::types::TaskStatus;
     use reprowd_storage::MemoryStore;
@@ -151,6 +230,19 @@ mod tests {
         // Different presenter fingerprint = different key space.
         let other = ExperimentStore::row_key("exp1", "fp2", "abc123");
         assert!(s.tasks.get(other.as_bytes()).unwrap().is_none());
+    }
+
+    #[test]
+    fn task_cell_header_is_checked_body_is_not() {
+        let good = serde_json::to_string(&task(5)).unwrap();
+        let bogus = good.replace("\"Open\"", "\"Bogus\"");
+        let cell = TaskCell::from_bytes(bogus.into_bytes()).unwrap();
+        assert_eq!((cell.id(), cell.n_assignments()), (5, 3));
+        assert!(matches!(cell.decode(), Err(Error::Storage(reprowd_storage::Error::Codec(_)))));
+        for bad in [&good[..good.len() - 1], r#"{"n_assignments":3}"#, r#"{"task":{"id":-1}}"#] {
+            let e = TaskCell::from_bytes(bad.as_bytes().to_vec()).unwrap_err();
+            assert!(matches!(e, Error::Storage(reprowd_storage::Error::Codec(_))), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use reprowd_core::hash::{fnv1a, hash_value};
 use reprowd_core::lineage::{CellLineage, Derivation};
 use reprowd_core::presenter::Presenter;
-use reprowd_core::store::{Manifest, StoredResult, StoredTask};
+use reprowd_core::store::{Manifest, StoredResult, StoredTask, TaskCell};
 use reprowd_core::value::Value;
 use reprowd_platform::types::{Task, TaskRun, TaskStatus};
 use reprowd_platform::AnswerModel;
@@ -84,6 +84,18 @@ fn stored_task_bytes() {
         r#"{{"n_assignments":3,"object":{object},"task":{{"id":9223372036854775808,"n_assignments":3,"payload":{{"_sim":{{"difficulty":0.23,"kind":"label","labels":["Yes","No"],"truth":1}},"object":{object},"ui":{{"kind":{{"kind":"single_choice","labels":["Yes","No"]}},"presenter":"image_label","question":"Is this a cat?"}}}},"project_id":3,"published_at":1234,"status":"Open"}}}}"#
     );
     pin(&cell, &expected);
+}
+
+/// The header reader over the cell `stored_task_bytes` pins gets its id
+/// (above `i64::MAX`) and redundancy, and keeps the bytes as they are.
+#[test]
+fn task_cell_header_of_the_pinned_cell() {
+    let cell = StoredTask { task: task(), object: tricky_object(), n_assignments: 3 };
+    let bytes = serde_json::to_vec(&cell).unwrap();
+    let read = TaskCell::from_bytes(bytes.clone()).unwrap();
+    assert_eq!((read.id(), read.n_assignments()), (9_223_372_036_854_775_808, 3));
+    assert_eq!(read.bytes(), &bytes[..]);
+    assert_eq!(read.decode().unwrap(), cell);
 }
 
 #[test]

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use reprowd_core::hash::{fnv1a, hash_value};
 use reprowd_core::lineage::{CellLineage, Derivation};
-use reprowd_core::store::{Manifest, StoredResult, StoredTask};
+use reprowd_core::store::{Manifest, StoredResult, StoredTask, TaskCell};
 use reprowd_core::value::Value;
 use reprowd_platform::types::{Task, TaskRun, TaskStatus};
 use reprowd_platform::AnswerModel;
@@ -513,6 +513,46 @@ proptest! {
     #[test]
     fn typed_cells_match_the_old_derive_and_decode_like_value(seed in any::<u64>()) {
         if let Err(e) = run_typed(seed) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+/// A task cell as a row holds it: its header is the cell's task id and
+/// redundancy, its bytes are the cell's encoding, and it decodes to the
+/// cell. The header reader gets the same header out of a messy document.
+fn run_task_cell(seed: u64) -> Result<(), String> {
+    let mut g = Gen(seed);
+    let cell = g.stored_task();
+    let header = (cell.task.id, cell.n_assignments);
+    let encoded = TaskCell::encode(&cell);
+    let bytes = serde_json::to_vec(&cell).map_err(|e| e.to_string())?;
+    if (encoded.id(), encoded.n_assignments()) != header || encoded.bytes() != &bytes[..] {
+        return Err(format!("encode drifted from the cell {cell:?}"));
+    }
+    if encoded.decode().map_err(|e| e.to_string())? != cell {
+        return Err(format!("decode(encode(x)) != x for {cell:?}"));
+    }
+    let read = TaskCell::from_bytes(bytes).map_err(|e| e.to_string())?;
+    if read != encoded {
+        return Err(format!("header read of the stored bytes differs for {cell:?}"));
+    }
+    let mut doc = String::new();
+    messy(&stored_task_tree(&cell), "", &|p| p.is_empty() || p == "task", &mut g, &mut doc);
+    let read =
+        TaskCell::from_bytes(doc.clone().into_bytes()).map_err(|e| format!("{e} reading {doc}"))?;
+    if (read.id(), read.n_assignments()) != header || read.decode().ok() != Some(cell) {
+        return Err(format!("messy document read differently: {doc}"));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, .. ProptestConfig::default() })]
+
+    #[test]
+    fn task_cells_keep_their_bytes_and_read_their_header(seed in any::<u64>()) {
+        if let Err(e) = run_task_cell(seed) {
             prop_assert!(false, "{}", e);
         }
     }

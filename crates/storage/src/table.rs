@@ -80,6 +80,11 @@ impl<T: Serialize + DeserializeOwned> Table<T> {
         }
     }
 
+    /// The row at `key` as its stored bytes, undecoded.
+    pub fn get_bytes(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.backend.get(&self.full_key(key))
+    }
+
     /// True if a row exists at `key`.
     pub fn contains(&self, key: &[u8]) -> Result<bool> {
         self.backend.contains(&self.full_key(key))
@@ -132,6 +137,22 @@ impl<T: Serialize + DeserializeOwned> Table<T> {
         let mut batch = Batch::new();
         for (key, row) in rows {
             self.stage_put(&mut batch, key, row)?;
+        }
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.backend.apply_batch(batch)
+    }
+
+    /// [`put_many`](Table::put_many) for rows encoded already: each row's
+    /// bytes are written as they are, in one atomic batch.
+    pub fn put_many_bytes<'a>(
+        &self,
+        rows: impl IntoIterator<Item = (&'a [u8], &'a [u8])>,
+    ) -> Result<()> {
+        let mut batch = Batch::new();
+        for (key, bytes) in rows {
+            batch.set(self.full_key(key), bytes);
         }
         if batch.is_empty() {
             return Ok(());
@@ -245,6 +266,18 @@ mod tests {
         // Empty input is a no-op.
         t.put_many(std::iter::empty::<(&[u8], &TaskRow)>()).unwrap();
         assert_eq!(t.len().unwrap(), 5);
+    }
+
+    #[test]
+    fn byte_rows_are_the_typed_rows_encoding() {
+        let t = table();
+        let bytes = serde_json::to_vec(&row(4)).unwrap();
+        t.put_many_bytes([(&b"k"[..], &bytes[..])]).unwrap();
+        assert_eq!(t.get(b"k").unwrap(), Some(row(4)));
+        assert_eq!(t.get_bytes(b"k").unwrap(), Some(bytes));
+        assert_eq!(t.get_bytes(b"missing").unwrap(), None);
+        t.put_many_bytes(std::iter::empty()).unwrap();
+        assert_eq!(t.len().unwrap(), 1);
     }
 
     #[test]

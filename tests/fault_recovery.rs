@@ -399,7 +399,7 @@ fn restarted_platform_never_lends_another_experiments_tasks() {
         let p2 = Arc::new(SimPlatform::quick(5, 1.0, 10));
         let cc2 = on(&p2);
         let b_ids: Vec<u64> =
-            publish(&cc2, "b").rows().iter().map(|row| row.task.as_ref().unwrap().task.id).collect();
+            publish(&cc2, "b").rows().iter().map(|row| row.task.as_ref().unwrap().id()).collect();
 
         let (stats, runs) = if streamed {
             let spec = StreamSpec {
@@ -684,4 +684,58 @@ fn panic_in_a_stream_sink_fails_run_stream_with_the_committed_prefix() {
         assert_eq!(report.stats.results_reused, 12, "depth {depth}");
         assert_eq!(report.stats.tasks_published, 88, "depth {depth}");
     }
+}
+
+/// A task cell whose header is good but whose body is not a task (an
+/// unknown status) is served by the cache leg, which reads only the
+/// header: the rerun reuses its task with zero crowd calls. Each reader
+/// that decodes the body then returns a codec error, never a panic or a
+/// `null`. A cell that is not JSON at all still fails the cache leg.
+#[test]
+fn damaged_task_body_surfaces_on_read_not_on_rerun() {
+    use reprowd::core::Error;
+    let db: Arc<dyn Backend> = Arc::new(MemoryStore::new());
+    let platform = Arc::new(SimPlatform::quick(6, 0.9, 31));
+    let publish = || {
+        reprowd::core::CrowdContext::new(
+            Arc::clone(&platform) as Arc<dyn CrowdPlatform>,
+            Arc::clone(&db),
+        )
+        .unwrap()
+        .crowddata("damaged")
+        .unwrap()
+        .data(objects(3))
+        .unwrap()
+        .presenter(Presenter::image_label("Is this a cat?", &["Yes", "No"]))
+        .unwrap()
+        .publish(3)
+    };
+    let suffix = format!("/{}", publish().unwrap().rows()[1].hash);
+    let (key, cell) = db
+        .scan_prefix(b"t/task/damaged/")
+        .unwrap()
+        .into_iter()
+        .find(|(key, _)| key.ends_with(suffix.as_bytes()))
+        .expect("row 1's task cell");
+    let cell = String::from_utf8(cell).unwrap();
+    assert!(cell.contains(r#""status":"Open""#), "{cell}");
+    db.set(&key, cell.replace(r#""status":"Open""#, r#""status":"Bogus""#).as_bytes()).unwrap();
+
+    let calls = platform.api_calls();
+    let cd = publish().unwrap();
+    assert_eq!(platform.api_calls(), calls, "the rerun must make zero crowd calls");
+    assert_eq!(cd.run_stats().tasks_reused, 3);
+    assert_eq!(cd.run_stats().tasks_published, 0);
+    let codec = |e: Error| matches!(e, Error::Storage(reprowd::storage::Error::Codec(_)));
+    assert!(codec(cd.column("task").unwrap_err()));
+    assert!(codec(cd.lineage(1, "task").unwrap_err()));
+    assert!(codec(cd.column_lineage("task").unwrap_err()));
+    assert!(codec(cd.export_json().unwrap_err()));
+    // The undamaged cells still decode.
+    assert_eq!(cd.lineage(0, "task").unwrap().row, 0);
+
+    // Not JSON inside the body: the cache leg rejects the cell.
+    db.set(&key, cell.replace(r#""status":"Open""#, r#""status":Open"#).as_bytes()).unwrap();
+    assert!(codec(publish().err().expect("a cell that is not JSON fails the rerun")));
+    assert_eq!(platform.api_calls(), calls);
 }
