@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the storage engine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use reprowd_storage::crc::crc32;
 use reprowd_storage::{Backend, Batch, DiskStore, MemoryStore, SyncPolicy};
 use std::path::PathBuf;
 
@@ -75,6 +76,14 @@ fn bench_storage(c: &mut Criterion) {
             let store = DiskStore::open(&path, SyncPolicy::Never).unwrap();
             std::hint::black_box(store.stats().live_keys);
         });
+    });
+
+    // The log checksum every append and every replay runs: 16 MiB of
+    // pseudo-random bytes, so bytes/s = 16 MiB / time.
+    let blob: Vec<u8> =
+        (0..16u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    g.bench_function("crc32_16mb", |b| {
+        b.iter(|| crc32(std::hint::black_box(&blob)));
     });
 
     g.finish();

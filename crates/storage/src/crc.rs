@@ -2,16 +2,41 @@
 //!
 //! Every log record carries a CRC over its payload so that a torn write —
 //! the failure mode the paper's fault-recovery guarantee must survive — is
-//! detected on reopen instead of being replayed as garbage.
+//! detected on reopen instead of being replayed as garbage. Every append
+//! (`record::encode`) and every replay (`record::read_record`, on open,
+//! sealed-segment replay, compaction and the manifest) checksums its
+//! bytes, so the kernel runs at close to memory speed.
+//!
+//! **Algorithm: slicing-by-16** (Kounavis & Berry, "A Systematic Approach
+//! to Building High Performance Software-based CRC Generators", 2005).
+//! `TABLES[0]` is the classic byte-at-a-time (Sarwate) table:
+//! `TABLES[0][b]` is the CRC register after shifting the byte `b` through
+//! eight polynomial steps. `TABLES[k][b]` is the same byte pushed through
+//! `k` further zero bytes, i.e. `TABLES[k][b] = (TABLES[k-1][b] >> 8) ^
+//! TABLES[0][TABLES[k-1][b] & 0xFF]`. The 16 tables of 256 `u32`s (16 KiB)
+//! are built by `const fn` at compile time.
+//!
+//! Each step XORs the register into the first four bytes of a 16-byte
+//! block and folds all 16 bytes at once: byte `j` of the block goes
+//! through `TABLES[15 - j]`, since 15 − j bytes follow it in the block.
+//! The 16 lookups are independent, so they overlap in the pipeline
+//! instead of forming one chain of dependent loads per byte. The last
+//! `len % 16` bytes go through `TABLES[0]` one at a time.
+//!
+//! **The output is unchanged.** CRC-32 is linear over GF(2): folding a
+//! block through the shifted tables computes exactly the register the
+//! byte loop reaches after the same 16 bytes. The polynomial, initial
+//! value (`0xFFFF_FFFF`) and final XOR are the same as before, so every
+//! record frame, manifest and shipped database verifies as it did.
 
 /// Reflected IEEE polynomial (0x04C11DB7 bit-reversed).
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = build_table();
+/// Slicing-by-16 lookup tables, built at compile time (see the module doc).
+const TABLES: [[u32; 256]; 16] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -20,10 +45,20 @@ const fn build_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Computes the CRC-32 of `data` in one shot.
@@ -47,9 +82,33 @@ impl Crc32 {
 
     /// Feeds `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in data {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut blocks = data.chunks_exact(16);
+        for b in &mut blocks {
+            let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ crc;
+            let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+            let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+            let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+            crc = t[15][(w0 & 0xFF) as usize]
+                ^ t[14][((w0 >> 8) & 0xFF) as usize]
+                ^ t[13][((w0 >> 16) & 0xFF) as usize]
+                ^ t[12][(w0 >> 24) as usize]
+                ^ t[11][(w1 & 0xFF) as usize]
+                ^ t[10][((w1 >> 8) & 0xFF) as usize]
+                ^ t[9][((w1 >> 16) & 0xFF) as usize]
+                ^ t[8][(w1 >> 24) as usize]
+                ^ t[7][(w2 & 0xFF) as usize]
+                ^ t[6][((w2 >> 8) & 0xFF) as usize]
+                ^ t[5][((w2 >> 16) & 0xFF) as usize]
+                ^ t[4][(w2 >> 24) as usize]
+                ^ t[3][(w3 & 0xFF) as usize]
+                ^ t[2][((w3 >> 8) & 0xFF) as usize]
+                ^ t[1][((w3 >> 16) & 0xFF) as usize]
+                ^ t[0][(w3 >> 24) as usize];
+        }
+        for &b in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -107,5 +166,91 @@ mod tests {
     fn detects_transposition() {
         assert_ne!(crc32(b"ab"), crc32(b"ba"));
         assert_ne!(crc32(b"task:1"), crc32(b"task:2"));
+    }
+
+    /// The byte-at-a-time (Sarwate) loop the store shipped with: the
+    /// reference the sliced kernel must match on every input.
+    fn reference(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            out.extend_from_slice(&splitmix(&mut state).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    fn sliced(parts: &[&[u8]]) -> u32 {
+        let mut h = Crc32::new();
+        for part in parts {
+            h.update(part);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn short_inputs_match_reference_at_every_split() {
+        let data = seeded_bytes(0x5EED_0001, 64);
+        for len in 0..=64 {
+            let buf = &data[..len];
+            let want = reference(buf);
+            assert_eq!(crc32(buf), want, "len {len}");
+            for split in 0..=len {
+                assert_eq!(sliced(&[&buf[..split], &buf[split..]]), want, "len {len} split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn long_inputs_match_reference_at_random_offsets_and_splits() {
+        let backing = seeded_bytes(0x5EED_0002, (64 << 10) + 16);
+        let mut rng = 0x5EED_0003u64;
+        for case in 0..200 {
+            // Every start offset 0..16 recurs, so blocks straddle every
+            // alignment of the backing buffer.
+            let start = case % 16;
+            // Lengths up to 2^(case % 17) bytes: short records as often
+            // as 64 KiB ones.
+            let len = (splitmix(&mut rng) % ((1u64 << (case % 17)) + 1)) as usize;
+            let buf = &backing[start..start + len];
+            let want = reference(buf);
+            let mut cuts: Vec<usize> = (0..splitmix(&mut rng) % 3)
+                .map(|_| (splitmix(&mut rng) % (len as u64 + 1)) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts {
+                parts.push(&buf[from..cut]);
+                from = cut;
+            }
+            parts.push(&buf[from..]);
+            assert_eq!(sliced(&parts), want, "case {case}: start {start} len {len}");
+        }
+    }
+
+    #[test]
+    fn pinned_one_mib_checksum() {
+        // The byte loop's value: every database already written carries
+        // checksums computed by it.
+        let buf = seeded_bytes(0x5EED_0004, 1 << 20);
+        assert_eq!(reference(&buf), 0x2091_0E5B);
+        assert_eq!(crc32(&buf), 0x2091_0E5B);
     }
 }
