@@ -5,10 +5,11 @@
 //! entity they denote — exactly what CrowdER (E6) and the transitive join
 //! (E7) are scored against.
 
-use crate::text::{perturb, CATEGORY_POOL, CITY_POOL, NAME_POOL};
+use crate::text::{Perturber, CATEGORY_POOL, CITY_POOL, NAME_POOL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Parameters of an ER corpus.
 #[derive(Debug, Clone)]
@@ -73,14 +74,15 @@ impl ErCorpus {
         assert!(config.max_dups >= config.min_dups, "max_dups < min_dups");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut records = Vec::new();
+        let (mut base, mut perturber) = (String::new(), Perturber::default());
         for entity in 0..config.n_entities {
-            let base = base_record(&mut rng, entity);
+            base_record(&mut rng, entity, &mut base);
             let dups = rng.gen_range(config.min_dups..=config.max_dups);
             for d in 0..dups {
                 let text = if d == 0 {
                     base.clone()
                 } else {
-                    perturb(
+                    perturber.perturb(
                         &mut rng,
                         &base,
                         config.typo_p,
@@ -124,15 +126,17 @@ impl ErCorpus {
     }
 }
 
-/// A clean base record: "name name city category number".
-fn base_record(rng: &mut StdRng, entity: usize) -> String {
+/// Writes a clean base record into `out`: "name name category city
+/// unit<entity>".
+fn base_record(rng: &mut StdRng, entity: usize, out: &mut String) {
     let n1 = NAME_POOL[rng.gen_range(0..NAME_POOL.len())];
     let n2 = NAME_POOL[rng.gen_range(0..NAME_POOL.len())];
     let city = CITY_POOL[rng.gen_range(0..CITY_POOL.len())];
     let cat = CATEGORY_POOL[rng.gen_range(0..CATEGORY_POOL.len())];
     // The entity ordinal keeps base records of distinct entities distinct
     // even when the word draw collides.
-    format!("{n1} {n2} {cat} {city} unit{entity}")
+    out.clear();
+    write!(out, "{n1} {n2} {cat} {city} unit{entity}").expect("writing to a String");
 }
 
 #[cfg(test)]

@@ -4,17 +4,14 @@
 //! similarity clears the threshold, with the exact score attached, lazily —
 //! record by record against an incrementally built prefix index — so
 //! CrowdER's crowd pass can interleave candidate generation with task
-//! publishing and never hold the full pair list in memory (the resident
-//! state is the prefix index, `O(n · prefix)`, not the
-//! `O(n²)`-in-the-worst-case pair set). [`self_join`] is that stream
-//! collected and sorted by descending similarity. There is no R×S driver.
-//! A brute-force oracle ([`brute_force_self_join`]) backs the tests and
-//! benchmarks.
+//! publishing and never hold the full pair list in memory. [`self_join`]
+//! is that stream collected and sorted by descending similarity. There is
+//! no R×S join. A brute-force oracle ([`brute_force_self_join`]) backs
+//! the tests and benchmarks.
 
-use crate::prefix::{build_universe, prefix_len, OrderedRecord};
+use crate::prefix::{LengthTable, OrderedCorpus};
 use crate::similarity::SetSimilarity;
 use crate::tokenize::word_set;
-use std::collections::HashMap;
 
 /// A verified similar pair (indices into the input slice, `left < right`).
 #[derive(Debug, Clone, PartialEq)]
@@ -58,35 +55,63 @@ pub fn self_join(records: &[String], config: &JoinConfig) -> Vec<SimPair> {
 /// A lazy self-join: yields exactly the pairs [`self_join`] returns, but
 /// one at a time, ordered by the *later* record's index (then the earlier
 /// one's) instead of by descending similarity — the order in which an
-/// incremental index discovers them. Construction tokenizes the corpus and
-/// builds the global token order (`O(n · tokens)`); iteration then probes
-/// and extends the prefix index record by record, so the only pair-related
-/// memory is the handful of verified pairs buffered for the current
-/// record.
+/// incremental index discovers them.
+///
+/// Construction tokenizes the corpus into one flat arena in the global
+/// token order and precomputes the filters' per-length table
+/// (`O(n · tokens)`). Iteration then probes and extends the prefix index
+/// record by record (see [`prefix`](crate::prefix) for the filters). The
+/// resident state is the postings, `O(n · prefix)`, plus one `O(n)`
+/// overlap counter, not the `O(n²)`-in-the-worst-case pair set; the only
+/// pair-related memory is the handful of verified pairs buffered for the
+/// current record.
 pub fn self_join_stream<'a>(records: &[String], config: &'a JoinConfig) -> SelfJoinStream<'a> {
-    let token_sets: Vec<Vec<String>> = records.iter().map(|r| word_set(r)).collect();
-    let ordered = build_universe(&token_sets);
+    let corpus = OrderedCorpus::build(records);
+    let lengths = LengthTable::new(&corpus, config.measure, config.threshold);
     SelfJoinStream {
-        ordered,
+        index: vec![Vec::new(); corpus.vocab_len()],
+        count: vec![0; corpus.len()],
+        touched: Vec::new(),
+        corpus,
+        lengths,
         config,
-        index: HashMap::new(),
         current: 0,
         buffered: Vec::new(),
     }
 }
 
+/// One prefix token of an indexed record.
+#[derive(Debug, Clone)]
+struct Posting {
+    record: u32,
+    /// Position of the token in the record.
+    pos: u32,
+    /// The record's length.
+    len: u32,
+}
+
+/// Marks a partner the positional filter has pruned for the current probe.
+const PRUNED: i32 = -1;
+
 /// Iterator state of [`self_join_stream`].
 #[derive(Debug)]
 pub struct SelfJoinStream<'a> {
     /// Records mapped into the global token order (by input index).
-    ordered: Vec<OrderedRecord>,
+    corpus: OrderedCorpus,
+    /// Prefix length and required overlap by record length.
+    lengths: LengthTable,
     config: &'a JoinConfig,
-    /// token id -> earlier record ids whose prefix contains it.
-    index: HashMap<u32, Vec<usize>>,
+    /// token id -> prefix postings of the records probed so far.
+    index: Vec<Vec<Posting>>,
+    /// record -> prefix tokens shared with the current record so far, or
+    /// [`PRUNED`]; zero for every record outside `touched`.
+    count: Vec<i32>,
+    /// Records `count` holds a value for during the current probe.
+    touched: Vec<u32>,
     /// Next record to probe against the index.
     current: usize,
-    /// Verified pairs of the current record, reversed so `pop` yields
-    /// partners in ascending order.
+    /// Verified pairs of the current record, in descending partner order
+    /// so `pop` yields them ascending.
     buffered: Vec<SimPair>,
 }
 
@@ -98,39 +123,66 @@ impl Iterator for SelfJoinStream<'_> {
             if let Some(pair) = self.buffered.pop() {
                 return Some(pair);
             }
-            if self.current >= self.ordered.len() {
+            if self.current >= self.corpus.len() {
                 return None;
             }
-            let rec = &self.ordered[self.current];
+            let id = self.current;
             self.current += 1;
-            let p = prefix_len(self.config.measure, rec.tokens.len(), self.config.threshold);
-            // Probe: earlier records sharing a prefix token are candidates.
-            let mut partners: Vec<usize> = rec.tokens[..p]
-                .iter()
-                .filter_map(|tok| self.index.get(tok))
-                .flatten()
-                .copied()
-                .collect();
-            partners.sort_unstable();
-            partners.dedup();
-            // Verify with the exact measure; buffer in descending partner
-            // order so popping yields ascending.
-            for &other in partners.iter().rev() {
-                let sim = self
-                    .config
-                    .measure
-                    .compute(&self.ordered[other].tokens, &rec.tokens);
-                if sim >= self.config.threshold {
-                    self.buffered.push(SimPair {
-                        left: other.min(rec.id),
-                        right: other.max(rec.id),
-                        similarity: sim,
-                    });
+            let rec = self.corpus.record(id);
+            let len = rec.len();
+            let p = self.lengths.prefix(len);
+            let alpha = self.lengths.alpha_row(len);
+            // Probe: count each earlier record's shared prefix tokens,
+            // pruning it once the tokens left cannot reach α.
+            for (i, &tok) in rec[..p].iter().enumerate() {
+                for post in &self.index[tok as usize] {
+                    let other = post.record as usize;
+                    let count = self.count[other];
+                    if count == PRUNED {
+                        continue;
+                    }
+                    let rest = (len - i - 1).min((post.len - post.pos - 1) as usize);
+                    let needed = alpha[self.lengths.column(post.len as usize)] as usize;
+                    if count as usize + 1 + rest < needed {
+                        // A partner first met here fails at every later
+                        // token too, so only a counted one is marked.
+                        if count > 0 {
+                            self.count[other] = PRUNED;
+                        }
+                        continue;
+                    }
+                    if count == 0 {
+                        self.touched.push(post.record);
+                    }
+                    self.count[other] = count + 1;
                 }
             }
+            // Verify the survivors whose uncounted suffix can still reach
+            // α with the exact measure, resetting every counter.
+            for &other in &self.touched {
+                let other = other as usize;
+                let count = std::mem::take(&mut self.count[other]);
+                if count == PRUNED {
+                    continue;
+                }
+                let partner = self.corpus.record(other);
+                let column = self.lengths.column(partner.len());
+                let q = self.lengths.prefix(partner.len());
+                let suffix = if rec[p - 1] < partner[q - 1] { len - p } else { partner.len() - q };
+                if count as usize + suffix >= alpha[column] as usize {
+                    let sim = self.config.measure.compute(partner, rec);
+                    if sim >= self.config.threshold {
+                        self.buffered.push(SimPair { left: other, right: id, similarity: sim });
+                    }
+                }
+            }
+            self.touched.clear();
+            self.buffered.sort_unstable_by_key(|pair| std::cmp::Reverse(pair.left));
             // Extend the index with this record's prefix.
-            for &tok in &rec.tokens[..p] {
-                self.index.entry(tok).or_default().push(rec.id);
+            let record = id as u32;
+            for (pos, &tok) in rec[..p].iter().enumerate() {
+                let posting = Posting { record, pos: pos as u32, len: len as u32 };
+                self.index[tok as usize].push(posting);
             }
         }
     }

@@ -11,11 +11,13 @@
 //! * [`tokenize`] — normalization, word tokens, and q-grams.
 //! * [`similarity`] — Jaccard, Dice, cosine, overlap, and (banded)
 //!   Levenshtein edit distance / similarity.
-//! * [`prefix`] — prefix filtering with a global rare-token-first order, the
-//!   classic index-level optimization for set-similarity joins.
-//! * [`join`] — the self-join, one lazy stream ([`self_join_stream`]) that
-//!   [`self_join`] collects and sorts (there is no R×S driver), plus a
-//!   brute-force oracle proving the filter loses no true match.
+//! * [`prefix`] — the filters: prefix filtering with a global
+//!   rare-token-first order, PPJoin's positional filter and suffix bound,
+//!   over one flat token arena and a per-length table of required overlaps.
+//! * [`join`] — the self-join, one lazy stream ([`self_join_stream`]) over
+//!   a dense, count-based prefix index that [`self_join`] collects and
+//!   sorts (there is no R×S join), plus a brute-force oracle proving the
+//!   filters lose no true match.
 //!
 //! ```
 //! use reprowd_simjoin::join::{self_join, JoinConfig};

@@ -1,52 +1,183 @@
-//! Prefix filtering for set-similarity joins.
+//! Prefix, positional and suffix-bound filtering for set-similarity joins.
 //!
-//! The classic observation (Chaudhuri et al. / PPJoin): order every token by
-//! a global total order (rarest first, so prefixes are selective). If two
+//! *Prefix filter* (Chaudhuri et al.; PPJoin). Order every token by a
+//! global total order, rarest first, so prefixes are selective. If two
 //! sets must share at least `t` tokens to reach the similarity threshold,
 //! then each set's *prefix* — its first `|x| - t + 1` tokens in the global
-//! order — must contain at least one shared token. Indexing only prefixes
-//! yields every candidate pair while probing a tiny fraction of the data.
-//! The probe-then-index loop is [`SelfJoinStream`](crate::join::SelfJoinStream).
+//! order — must contain at least one shared token ([`prefix_len`]).
+//! Indexing only prefixes yields every candidate pair while probing a tiny
+//! fraction of the data.
+//!
+//! *Positional filter* (Xiao et al., "Efficient Similarity Joins for Near
+//! Duplicate Detection", WWW 2008). The index keeps, with each prefix
+//! token, the token's position in its record and the record's length. When
+//! the probe of record `x` meets token `x[i] = y[j]`, the tokens the two
+//! records share *before* it are exactly those already counted for `y`
+//! (both prefixes hold every token ordered before one of their prefix
+//! tokens), and at most `min(|x| - i - 1, |y| - j - 1)` can follow it. So
+//! once `count + 1 + min(|x| - i - 1, |y| - j - 1)` falls below the
+//! overlap `α(|x|, |y|)` the pair needs, `y` cannot qualify and is pruned
+//! with integer arithmetic. A partner that fails this test where it is
+//! first met fails it at every later token too, so it is never counted.
+//!
+//! *Suffix bound* (the same paper's verification step). After the probe,
+//! `count` holds every shared token up to the smaller of the two prefixes'
+//! last tokens. If `x`'s last prefix token orders before `y`'s, the
+//! uncounted shared tokens all lie in `x`'s suffix, at most `|x| - p_x` of
+//! them; otherwise in `y`'s, at most `|y| - p_y`. A survivor whose `count`
+//! plus that bound is below `α` is dropped unverified; the rest are
+//! verified with [`SetSimilarity::compute`], unchanged, so every score is
+//! the same `f64` as a brute-force join's.
+//!
+//! *The data.* `OrderedCorpus` holds every record's token ids, ascending
+//! in the global order, in one flat arena. The index is dense: one posting
+//! list of `(record, position, length)` per token id, and a per-record
+//! overlap counter reset through the list of records it touched.
+//! `LengthTable` precomputes the prefix length of every record length in
+//! the corpus, and `α` from [`SetSimilarity::overlap_lower_bound`] for
+//! every pair of them: one row and column per *distinct* length. `d`
+//! distinct lengths sum to at most the corpus's token count `T`, so the
+//! table holds at most `2T` entries.
+//!
+//! *Why no filter drops a pair the float measure accepts.* `α` is
+//! `ceil(raw - 1e-9)`, where `raw` is the real-valued overlap bound
+//! computed in `f64` (e.g. `θ/(1+θ)·(|x|+|y|)` for Jaccard). A pair with
+//! overlap `o` that [`SetSimilarity::compute`] accepts satisfies the exact
+//! inequality up to the rounding of one division or square root, a
+//! relative error of ~2⁻⁵²; `raw` carries a few such roundings of a value
+//! at most `|x| + |y|`. Both are far below the `10⁻⁹` slack for any record
+//! shorter than millions of tokens, so `raw - 1e-9 < o` and `α ≤ o`, while
+//! each filter only drops a pair whose overlap it has bounded below `α`.
+//! The prefix length uses the same slack, through
+//! [`SetSimilarity::min_overlap_any_partner`]. The unit test
+//! `alpha_never_exceeds_an_accepted_overlap` checks `α` against the float
+//! measure itself at exact-ratio thresholds.
+//!
+//! The probe-then-index loop is
+//! [`SelfJoinStream`](crate::join::SelfJoinStream).
 
 use crate::similarity::SetSimilarity;
+use crate::tokenize::word_set;
 use std::collections::HashMap;
 
-/// A record mapped into the global token order: sorted ascending token ids
-/// (rarer token = smaller id).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderedRecord {
-    /// Original record index.
-    pub id: usize,
-    /// Token ids, ascending in the global (rarity) order, deduplicated.
-    pub tokens: Vec<u32>,
+/// Every record mapped into the global token order, in one flat arena:
+/// record `r`'s token ids, ascending (rarer token = smaller id) and
+/// deduplicated, are `tokens[offsets[r]..offsets[r + 1]]`.
+#[derive(Debug)]
+pub(crate) struct OrderedCorpus {
+    tokens: Vec<u32>,
+    offsets: Vec<u32>,
+    vocab_len: usize,
 }
 
-/// Builds the rare-first global order over `token_sets` (each must be a
-/// deduplicated set; order within doesn't matter) and maps every record
-/// into it, in input order.
-pub fn build_universe(token_sets: &[Vec<String>]) -> Vec<OrderedRecord> {
-    let mut freq: HashMap<&str, u32> = HashMap::new();
-    for set in token_sets {
-        for tok in set {
+impl OrderedCorpus {
+    /// Tokenizes `records` into word sets, builds the rare-first global
+    /// order over them (frequency ascending, then lexicographic, so the
+    /// order is deterministic) and maps every record into it, in input
+    /// order.
+    pub(crate) fn build(records: &[String]) -> Self {
+        let sets: Vec<Vec<String>> = records.iter().map(|r| word_set(r)).collect();
+        let mut freq: HashMap<&str, u32> = HashMap::new();
+        for tok in sets.iter().flatten() {
             *freq.entry(tok.as_str()).or_insert(0) += 1;
         }
-    }
-    // Sort tokens by (frequency asc, lexicographic) for a deterministic order.
-    let mut by_rarity: Vec<(&str, u32)> = freq.into_iter().collect();
-    by_rarity.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
-    let vocab: HashMap<&str, u32> =
-        by_rarity.iter().enumerate().map(|(i, &(tok, _))| (tok, i as u32)).collect();
+        let mut by_rarity: Vec<(&str, u32)> = freq.into_iter().collect();
+        by_rarity.sort_unstable_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
+        let vocab: HashMap<&str, u32> =
+            by_rarity.iter().enumerate().map(|(i, &(tok, _))| (tok, i as u32)).collect();
 
-    token_sets
-        .iter()
-        .enumerate()
-        .map(|(id, set)| {
-            let mut tokens: Vec<u32> = set.iter().map(|t| vocab[t.as_str()]).collect();
-            tokens.sort_unstable();
-            tokens.dedup();
-            OrderedRecord { id, tokens }
-        })
-        .collect()
+        let mut tokens = Vec::with_capacity(sets.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(sets.len() + 1);
+        offsets.push(0);
+        for set in &sets {
+            let start = tokens.len();
+            tokens.extend(set.iter().map(|t| vocab[t.as_str()]));
+            // `word_set` already deduplicated the words.
+            tokens[start..].sort_unstable();
+            offsets.push(u32::try_from(tokens.len()).expect("corpus under 2^32 tokens"));
+        }
+        OrderedCorpus { tokens, offsets, vocab_len: vocab.len() }
+    }
+
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Record `id`'s token ids, ascending in the global order.
+    pub(crate) fn record(&self, id: usize) -> &[u32] {
+        &self.tokens[self.offsets[id] as usize..self.offsets[id + 1] as usize]
+    }
+
+    /// Number of distinct tokens: every token id is below it.
+    pub(crate) fn vocab_len(&self) -> usize {
+        self.vocab_len
+    }
+
+    /// `1 +` the longest record's length.
+    fn length_bound(&self) -> usize {
+        self.offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0) + 1
+    }
+}
+
+/// What the filters need per record length, for the lengths of one
+/// corpus: the prefix length ([`prefix_len`]) of each length, and the
+/// required overlap `α(|x|, |y|)` ([`SetSimilarity::overlap_lower_bound`])
+/// of each pair of lengths.
+#[derive(Debug)]
+pub(crate) struct LengthTable {
+    /// Record length -> its row and column (only lengths in the corpus are
+    /// filled in).
+    class: Vec<u32>,
+    /// Prefix length, by column.
+    prefix: Vec<u32>,
+    /// `α`, one row of `prefix.len()` columns per length.
+    alpha: Vec<u32>,
+}
+
+impl LengthTable {
+    /// Builds the table for the record lengths of `corpus`.
+    pub(crate) fn new(corpus: &OrderedCorpus, measure: SetSimilarity, threshold: f64) -> Self {
+        let mut present = vec![false; corpus.length_bound()];
+        for id in 0..corpus.len() {
+            present[corpus.record(id).len()] = true;
+        }
+        let lengths: Vec<usize> = (0..present.len()).filter(|&len| present[len]).collect();
+        let mut class = vec![0u32; present.len()];
+        for (c, &len) in lengths.iter().enumerate() {
+            class[len] = c as u32;
+        }
+        let prefix =
+            lengths.iter().map(|&len| prefix_len(measure, len, threshold) as u32).collect();
+        let alpha = lengths
+            .iter()
+            .flat_map(|&lx| {
+                lengths.iter().map(move |&ly| {
+                    let a = measure.overlap_lower_bound(lx, ly, threshold);
+                    u32::try_from(a).unwrap_or(u32::MAX)
+                })
+            })
+            .collect();
+        LengthTable { class, prefix, alpha }
+    }
+
+    /// The prefix length of a record of `len` tokens.
+    pub(crate) fn prefix(&self, len: usize) -> usize {
+        self.prefix[self.column(len)] as usize
+    }
+
+    /// `α(len, ·)`, indexed by [`LengthTable::column`].
+    pub(crate) fn alpha_row(&self, len: usize) -> &[u32] {
+        let width = self.prefix.len();
+        let start = self.column(len) * width;
+        &self.alpha[start..start + width]
+    }
+
+    /// The column of a partner of `len` tokens in an
+    /// [`alpha_row`](LengthTable::alpha_row).
+    pub(crate) fn column(&self, len: usize) -> usize {
+        self.class[len] as usize
+    }
 }
 
 /// Length of the prefix that must be indexed for a record of `len` tokens
@@ -69,7 +200,10 @@ mod tests {
     use super::*;
     use crate::join::{self_join_stream, JoinConfig};
     use crate::similarity::intersection_size;
-    use crate::tokenize::word_set;
+
+    fn strings(records: &[&str]) -> Vec<String> {
+        records.iter().map(|r| r.to_string()).collect()
+    }
 
     fn sets(records: &[&str]) -> Vec<Vec<String>> {
         records.iter().map(|r| word_set(r)).collect()
@@ -77,27 +211,39 @@ mod tests {
 
     /// The `(left, right)` pairs the prefix-filtered join emits.
     fn joined(records: &[&str], threshold: f64) -> Vec<(usize, usize)> {
-        let records: Vec<String> = records.iter().map(|r| r.to_string()).collect();
+        let records = strings(records);
         let cfg = JoinConfig::new(SetSimilarity::Jaccard, threshold);
         self_join_stream(&records, &cfg).map(|p| (p.left, p.right)).collect()
     }
 
+    const MEASURES: [SetSimilarity; 4] = [
+        SetSimilarity::Jaccard,
+        SetSimilarity::Dice,
+        SetSimilarity::Cosine,
+        SetSimilarity::Overlap,
+    ];
+
     #[test]
     fn universe_orders_rare_first() {
-        let records = build_universe(&sets(&["a b common", "c common", "d common"]));
+        let corpus = OrderedCorpus::build(&strings(&["a b common", "c common", "d common"]));
         // "common" is in every record, so it orders last in each of them.
-        let common_id = *records[1].tokens.last().unwrap();
-        assert!(records.iter().all(|r| r.tokens.last() == Some(&common_id)));
-        for rec in &records {
-            assert!(rec.tokens[..rec.tokens.len() - 1].iter().all(|&t| t < common_id));
+        let common_id = *corpus.record(1).last().unwrap();
+        assert_eq!(common_id as usize, corpus.vocab_len() - 1);
+        for id in 0..corpus.len() {
+            let rec = corpus.record(id);
+            assert_eq!(rec.last(), Some(&common_id));
+            assert!(rec[..rec.len() - 1].iter().all(|&t| t < common_id));
         }
     }
 
     #[test]
     fn records_tokens_ascending_dedup() {
-        let records = build_universe(&sets(&["b a b a", "a c"]));
-        for rec in &records {
-            assert!(rec.tokens.windows(2).all(|w| w[0] < w[1]));
+        let corpus = OrderedCorpus::build(&strings(&["b a b a", "a c", ""]));
+        assert_eq!(corpus.len(), 3);
+        assert_eq!((corpus.record(0).len(), corpus.record(1).len()), (2, 2));
+        assert!(corpus.record(2).is_empty());
+        for id in 0..corpus.len() {
+            assert!(corpus.record(id).windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -108,6 +254,47 @@ mod tests {
         // At threshold ~0 everything must be indexed.
         assert_eq!(prefix_len(SetSimilarity::Jaccard, 5, 0.0), 5);
         assert_eq!(prefix_len(SetSimilarity::Jaccard, 0, 0.5), 0);
+    }
+
+    #[test]
+    fn length_table_is_indexed_by_length() {
+        let corpus = OrderedCorpus::build(&strings(&["a b c d", "a b", "x y z w", ""]));
+        let table = LengthTable::new(&corpus, SetSimilarity::Jaccard, 0.5);
+        for (lx, ly) in [(4, 2), (2, 4), (4, 4), (2, 2), (0, 4)] {
+            let want = SetSimilarity::Jaccard.overlap_lower_bound(lx, ly, 0.5) as u32;
+            assert_eq!(table.alpha_row(lx)[table.column(ly)], want, "α({lx}, {ly})");
+        }
+        for len in [0, 2, 4] {
+            assert_eq!(table.prefix(len), prefix_len(SetSimilarity::Jaccard, len, 0.5));
+        }
+    }
+
+    /// The positional filter's safety: `α(nx, ny)` is never above an
+    /// overlap whose float score [`SetSimilarity::compute`] accepts, at
+    /// the thresholds where the exact ratio lands on the boundary.
+    #[test]
+    fn alpha_never_exceeds_an_accepted_overlap() {
+        let thresholds = [1.0 / 3.0, 0.5, 2.0 / 3.0, 0.75, 1.0, 0.3, 0.8, 0.2, 0.4, 0.6, 0.9];
+        for measure in MEASURES {
+            for &theta in &thresholds {
+                for nx in 1..=24usize {
+                    for ny in 1..=24usize {
+                        let alpha = measure.overlap_lower_bound(nx, ny, theta);
+                        for o in 0..=nx.min(ny) {
+                            // x = 0..nx, y shares its first `o` tokens.
+                            let x: Vec<usize> = (0..nx).collect();
+                            let y: Vec<usize> = (nx - o..nx - o + ny).collect();
+                            if measure.compute(&x, &y) >= theta {
+                                assert!(
+                                    alpha <= o,
+                                    "{measure:?} θ={theta} ({nx},{ny}): α={alpha} > o={o}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Filtering on prefixes must lose no truly-similar pair (completeness
