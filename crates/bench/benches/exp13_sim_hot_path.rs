@@ -4,7 +4,8 @@
 //! What it pins, beyond the table:
 //!
 //! * **Determinism** — the world is run twice; the same seed must produce
-//!   bit-identical runs.
+//!   bit-identical runs, and both sizes must reproduce their pinned
+//!   digests, so any drift in the engine's outcome at scale fails here.
 //! * **No quadratic hot path** — events/sec must not collapse as the
 //!   open-task list grows 10× (an engine that clones and scans the whole
 //!   open list per event has a per-event cost that scales with n; the
@@ -16,6 +17,12 @@
 
 use reprowd_bench::{banner, table, timed};
 use reprowd_platform::{AnswerModel, CrowdPlatform, SimPlatform, TaskId, TaskSpec};
+
+/// Pinned digests `(tasks, digest)` of the seed-42 world, per mode.
+const SMOKE_DIGESTS: [(usize, u64); 2] =
+    [(200, 0x49fd_fffa_a46b_10e2), (2_000, 0xe77c_7e62_3389_dd5c)];
+const FULL_DIGESTS: [(usize, u64); 2] =
+    [(10_000, 0x9dc7_7bf6_c1d6_2041), (100_000, 0x3d9c_896e_d5a5_6ad1)];
 
 struct Run {
     tasks: usize,
@@ -136,6 +143,15 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
+    let pinned = if smoke { SMOKE_DIGESTS } else { FULL_DIGESTS };
+    for (run, (tasks, digest)) in [&small, &big].into_iter().zip(pinned) {
+        assert_eq!(run.tasks, tasks);
+        assert_eq!(
+            run.digest, digest,
+            "the seed-42 world of {tasks} tasks drifted from its pinned digest {digest:#018x}"
+        );
+    }
+
     let ratio = small.events_per_sec / big.events_per_sec;
     println!(
         "\nscaling: {:.0} ev/s at n={} vs {:.0} ev/s at n={} ({ratio:.2}x)",

@@ -134,19 +134,16 @@ impl CrowdContext {
     /// under every presenter it ever ran with, in one atomic batch (a
     /// crash leaves the whole experiment or none of it). The
     /// platform-side project (if any) is left as-is, like the original
-    /// system (PyBossa projects outlive local state).
+    /// system (PyBossa projects outlive local state). Cells are found by
+    /// key alone, so a damaged cell is deleted with the rest.
     pub fn delete_experiment(&self, name: &str) -> Result<()> {
         if self.store.manifests.get(name.as_bytes())?.is_none() {
             return Ok(());
         }
         let prefix = ExperimentStore::experiment_prefix(name);
         let mut batch = Batch::new();
-        for (key, _) in self.store.tasks.scan_prefix(prefix.as_bytes())? {
-            self.store.tasks.stage_remove(&mut batch, &key);
-        }
-        for (key, _) in self.store.results.scan_prefix(prefix.as_bytes())? {
-            self.store.results.stage_remove(&mut batch, &key);
-        }
+        self.store.tasks.stage_remove_prefix(&mut batch, prefix.as_bytes())?;
+        self.store.results.stage_remove_prefix(&mut batch, prefix.as_bytes())?;
         self.store.manifests.stage_remove(&mut batch, name.as_bytes());
         self.backend.apply_batch(batch)?;
         Ok(())
@@ -331,6 +328,29 @@ mod tests {
         assert_eq!((rerun.tasks_reused, rerun.tasks_published), (0, 4));
         drop(cc);
         DiskStore::destroy(&path).unwrap();
+    }
+
+    #[test]
+    fn delete_experiment_removes_a_cell_that_does_not_decode() {
+        let cc = CrowdContext::in_memory_sim(4);
+        cc.crowddata("exp")
+            .unwrap()
+            .data(vec![crate::value::Value::from("obj")])
+            .unwrap()
+            .presenter(crate::presenter::Presenter::image_label("q?", &["A", "B"]))
+            .unwrap()
+            .publish(1)
+            .unwrap();
+        let _ = cc.crowddata("other").unwrap();
+        let damaged = b"t/task/exp/presenter/damaged";
+        cc.backend().set(damaged, b"not json {").unwrap();
+        assert!(cc.store().tasks.scan_prefix(b"exp/").is_err(), "the cell must not decode");
+
+        cc.delete_experiment("exp").unwrap();
+        assert_eq!(cc.experiments().unwrap(), vec!["other"]);
+        let left = cc.backend().scan_prefix(b"").unwrap();
+        let left: Vec<_> = left.into_iter().map(|(k, _)| String::from_utf8(k).unwrap()).collect();
+        assert_eq!(left, vec!["t/manifest/other"], "every cell of the experiment must go");
     }
 
     #[test]

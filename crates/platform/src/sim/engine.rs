@@ -18,9 +18,9 @@
 //!   it is *permanently* ineligible for that worker (tombstoned, or already
 //!   answered by them), so an eligibility scan resumes where it left off
 //!   instead of rescanning the whole open list per event.
-//! * worker profiles and per-task answer models are indexed up front
-//!   (`HashMap` lookups instead of an O(pool) scan and a per-event payload
-//!   parse).
+//! * task `id` is slot `id - 1` of one `Vec`, and a worker has answered a
+//!   task exactly when one of its runs names them. Worker profiles are
+//!   indexed up front (a `HashMap` lookup instead of an O(pool) scan).
 
 use crate::error::{Error, Result};
 use crate::platform::CrowdPlatform;
@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of a simulated platform.
@@ -54,20 +54,53 @@ impl SimConfig {
     }
 }
 
+/// One published task: only what the platform's own calls read back.
+struct TaskSlot {
+    project_id: ProjectId,
+    n_assignments: u32,
+    published_at: SimTime,
+    /// Canonical JSON text of the payload.
+    payload: Box<str>,
+    /// Answer model parsed once at publish time.
+    model: Option<AnswerModel>,
+    /// Runs, each by a distinct worker; `n_assignments` complete the task.
+    runs: Vec<TaskRun>,
+}
+
+impl TaskSlot {
+    fn completed(&self) -> bool {
+        self.runs.len() >= self.n_assignments as usize
+    }
+
+    fn answered_by(&self, worker: WorkerId) -> bool {
+        self.runs.iter().any(|r| r.worker_id == worker)
+    }
+
+    /// The payload as published: the codec reads back what it writes, so
+    /// this fails only on a payload nested deeper than its parser accepts.
+    fn decode_payload(&self) -> Result<serde_json::Value> {
+        serde_json::from_str(&self.payload)
+            .map_err(|e| Error::InvalidRequest(format!("stored payload: {e}")))
+    }
+
+    fn task(&self, id: TaskId, payload: serde_json::Value) -> Task {
+        let TaskSlot { project_id, n_assignments, published_at, .. } = *self;
+        let status = if self.completed() { TaskStatus::Completed } else { TaskStatus::Open };
+        Task { id, project_id, payload, n_assignments, published_at, status }
+    }
+}
+
+/// Entry `id - 1` of a table of dense ids from 1 (`None` for 0 or unissued).
+fn by_id<T>(table: &[T], id: u64) -> Option<&T> {
+    table.get(usize::try_from(id.checked_sub(1)?).ok()?)
+}
+
 /// Everything an event or a platform call touches.
 struct World {
-    projects: HashMap<ProjectId, Project>,
-    next_project: ProjectId,
-    next_task: TaskId,
-    /// Published tasks, by id.
-    tasks: HashMap<TaskId, Task>,
-    /// Runs collected per task.
-    runs: HashMap<TaskId, Vec<TaskRun>>,
-    /// Workers who already *submitted* a run for the task (the platform
-    /// invariant: at most one run per worker per task).
-    answered_by: HashMap<TaskId, HashSet<WorkerId>>,
-    /// Answer model parsed once at publish time.
-    models: HashMap<TaskId, Option<AnswerModel>>,
+    /// Created projects, by [`by_id`].
+    projects: Vec<Project>,
+    /// Published tasks, by [`by_id`].
+    tasks: Vec<TaskSlot>,
     /// Open tasks in publish order; completion tombstones the slot.
     open: Vec<Option<TaskId>>,
     /// First possibly-live slot of `open`, advanced lazily past tombstones.
@@ -93,28 +126,17 @@ impl World {
     /// An empty world over `workers` (in roster order — their position is
     /// the initial availability stagger).
     fn new(workers: &[WorkerProfile], seed: u64) -> Self {
-        let mut available = BinaryHeap::with_capacity(workers.len());
-        let mut profiles = HashMap::with_capacity(workers.len());
-        for (i, w) in workers.iter().enumerate() {
-            // Tiny stagger so initial pickup order interleaves naturally.
-            available.push(Reverse((i as SimTime, w.id)));
-            profiles.insert(w.id, w.clone());
-        }
         World {
-            projects: HashMap::new(),
-            next_project: 1,
-            next_task: 1,
-            tasks: HashMap::new(),
-            runs: HashMap::new(),
-            answered_by: HashMap::new(),
-            models: HashMap::new(),
+            projects: Vec::new(),
+            tasks: Vec::new(),
             open: Vec::new(),
             open_head: 0,
             open_live: 0,
-            available,
+            // Tiny stagger so initial pickup order interleaves naturally.
+            available: (0..).zip(workers).map(|(at, w)| Reverse((at, w.id))).collect(),
             parked: Vec::new(),
             cursor: HashMap::new(),
-            profiles,
+            profiles: workers.iter().map(|w| (w.id, w.clone())).collect(),
             clock: 0,
             rng: StdRng::seed_from_u64(seed),
             events: 0,
@@ -124,20 +146,17 @@ impl World {
     /// Allocates the next task id, stamps the task with the current clock,
     /// queues it, and wakes the parked workers (new work may suit them).
     fn place(&mut self, project: ProjectId, spec: TaskSpec) -> Task {
-        let id = self.next_task;
-        self.next_task += 1;
-        let task = Task {
-            id,
+        let id = self.tasks.len() as TaskId + 1;
+        let slot = TaskSlot {
             project_id: project,
-            payload: spec.payload,
             n_assignments: spec.n_assignments,
             published_at: self.clock,
-            status: TaskStatus::Open,
+            payload: serde::json::to_string(&spec.payload).into_boxed_str(),
+            model: AnswerModel::extract(&spec.payload),
+            runs: Vec::with_capacity(spec.n_assignments as usize),
         };
-        self.models.insert(id, AnswerModel::extract(&task.payload));
-        self.tasks.insert(id, task.clone());
-        self.runs.insert(id, Vec::new());
-        self.answered_by.insert(id, HashSet::new());
+        let task = slot.task(id, spec.payload);
+        self.tasks.push(slot);
         self.open.push(Some(id));
         self.open_live += 1;
         self.wake_parked();
@@ -153,11 +172,15 @@ impl World {
         }
     }
 
-    fn are_complete(&self, tasks: &[TaskId]) -> Vec<Option<bool>> {
-        tasks
-            .iter()
-            .map(|t| self.tasks.get(t).map(|task| task.status == TaskStatus::Completed))
-            .collect()
+    /// How many of `tasks` are still open, failing with
+    /// [`Error::UnknownTask`] on ids the platform does not know.
+    fn still_open(&self, tasks: &[TaskId]) -> Result<usize> {
+        let mut open = 0;
+        for &t in tasks {
+            let task = by_id(&self.tasks, t).ok_or(Error::UnknownTask(t))?;
+            open += usize::from(!task.completed());
+        }
+        Ok(open)
     }
 
     /// Processes one event: pops the earliest-available worker, matches
@@ -179,19 +202,15 @@ impl World {
             let mut pos =
                 self.cursor.get(&worker_id).copied().unwrap_or(0).max(self.open_head);
             let mut found = None;
-            while pos < self.open.len() {
-                match self.open[pos] {
-                    // Tombstone: permanently ineligible for everyone.
-                    None => pos += 1,
-                    Some(tid) => {
-                        if self.answered_by[&tid].contains(&worker_id) {
-                            // Answered tasks never reopen: skip permanently.
-                            pos += 1;
-                        } else {
-                            found = Some((pos, tid));
-                            break;
-                        }
+            while let Some(&entry) = self.open.get(pos) {
+                match entry {
+                    Some(tid) if !self.tasks[tid as usize - 1].answered_by(worker_id) => {
+                        found = Some((pos, tid));
+                        break;
                     }
+                    // A tombstone, or a task this worker answered (answered
+                    // tasks never reopen): permanently ineligible.
+                    _ => pos += 1,
                 }
             }
             // `pos` only ever advanced past permanently-ineligible slots
@@ -221,22 +240,15 @@ impl World {
                 return Ok(true);
             }
 
-            let task = self.tasks.get(&task_id).ok_or(Error::UnknownTask(task_id))?;
-            let n_assignments = task.n_assignments;
-            let answer = match &self.models[&task_id] {
+            let task = &mut self.tasks[task_id as usize - 1];
+            let answer = match &task.model {
                 Some(model) => model.sample(profile, &mut self.rng),
                 // Payloads without a model get an opaque echo answer, so
                 // plumbing tests don't need to construct models.
-                None => serde_json::json!({ "echo": task.payload }),
+                None => serde_json::json!({ "echo": task.decode_payload()? }),
             };
-            let runs = self.runs.get_mut(&task_id).expect("runs exist");
-            runs.push(TaskRun { task_id, worker_id, answer, assigned_at, submitted_at });
-            let done = runs.len() as u32 >= n_assignments;
-            self.answered_by.get_mut(&task_id).expect("set exists").insert(worker_id);
-
-            if done {
-                self.tasks.get_mut(&task_id).expect("task exists").status =
-                    TaskStatus::Completed;
+            task.runs.push(TaskRun { task_id, worker_id, answer, assigned_at, submitted_at });
+            if task.completed() {
                 self.open[slot] = None;
                 self.open_live -= 1;
                 // Task list changed: parked workers may now have work.
@@ -248,21 +260,6 @@ impl World {
         // Every worker is parked: redundancy cannot be met.
         Ok(false)
     }
-}
-
-/// Counts how many of `tasks` are still open given an
-/// [`are_complete`](CrowdPlatform::are_complete) status vector, failing
-/// with [`Error::UnknownTask`] on ids the platform does not know.
-fn still_open(tasks: &[TaskId], status: &[Option<bool>]) -> Result<usize> {
-    let mut open = 0;
-    for (i, st) in status.iter().enumerate() {
-        match st {
-            None => return Err(Error::UnknownTask(tasks[i])),
-            Some(false) => open += 1,
-            Some(true) => {}
-        }
-    }
-    Ok(open)
 }
 
 /// The simulated crowdsourcing platform.
@@ -326,15 +323,13 @@ impl CrowdPlatform for SimPlatform {
     fn create_project(&self, name: &str) -> Result<ProjectId> {
         self.bump();
         let mut w = self.world.lock();
-        let id = w.next_project;
-        w.next_project += 1;
-        let created_at = w.clock;
-        w.projects.insert(id, Project { id, name: name.to_string(), created_at });
+        let (id, created_at) = (w.projects.len() as ProjectId + 1, w.clock);
+        w.projects.push(Project { id, name: name.to_string(), created_at });
         Ok(id)
     }
 
     fn project(&self, id: ProjectId) -> Result<Project> {
-        self.world.lock().projects.get(&id).cloned().ok_or(Error::UnknownProject(id))
+        by_id(&self.world.lock().projects, id).cloned().ok_or(Error::UnknownProject(id))
     }
 
     /// One API call, atomic.
@@ -352,7 +347,7 @@ impl CrowdPlatform for SimPlatform {
             self.validate_spec(spec)?;
         }
         let mut w = self.world.lock();
-        if !w.projects.contains_key(&project) {
+        if by_id(&w.projects, project).is_none() {
             return Err(Error::UnknownProject(project));
         }
         Ok(specs.into_iter().map(|spec| w.place(project, spec)).collect())
@@ -360,7 +355,9 @@ impl CrowdPlatform for SimPlatform {
 
     fn task(&self, id: TaskId) -> Result<Task> {
         self.bump();
-        self.world.lock().tasks.get(&id).cloned().ok_or(Error::UnknownTask(id))
+        let w = self.world.lock();
+        let slot = by_id(&w.tasks, id).ok_or(Error::UnknownTask(id))?;
+        Ok(slot.task(id, slot.decode_payload()?))
     }
 
     /// One API call serving every task from a single consistent snapshot.
@@ -371,14 +368,16 @@ impl CrowdPlatform for SimPlatform {
         }
         self.bump();
         let w = self.world.lock();
-        tasks.iter().map(|&t| w.runs.get(&t).cloned().ok_or(Error::UnknownTask(t))).collect()
+        let runs = |&t: &TaskId| Ok(by_id(&w.tasks, t).ok_or(Error::UnknownTask(t))?.runs.clone());
+        tasks.iter().map(runs).collect()
     }
 
     /// One consistent snapshot. Status probes are **free** — no API-call
     /// bump — on every in-process platform; see the trait-level contract
     /// on [`is_complete`](CrowdPlatform::is_complete).
     fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
-        Ok(self.world.lock().are_complete(tasks))
+        let w = self.world.lock();
+        Ok(tasks.iter().map(|&t| by_id(&w.tasks, t).map(TaskSlot::completed)).collect())
     }
 
     fn step(&self) -> Result<bool> {
@@ -392,11 +391,11 @@ impl CrowdPlatform for SimPlatform {
     /// unknown) task lists return before any simulation runs.
     fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
         let mut w = self.world.lock();
-        if still_open(tasks, &w.are_complete(tasks))? == 0 {
+        if w.still_open(tasks)? == 0 {
             return Ok(());
         }
         while w.step()? {}
-        let open = still_open(tasks, &w.are_complete(tasks))?;
+        let open = w.still_open(tasks)?;
         if open > 0 {
             return Err(Error::Starved(format!(
                 "no further progress possible with {open} tasks still open"
@@ -417,6 +416,7 @@ impl CrowdPlatform for SimPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn label_spec(truth: usize, n: u32) -> TaskSpec {
         let model = AnswerModel::Label {
@@ -636,6 +636,58 @@ mod tests {
     }
 
     #[test]
+    fn ids_outside_the_dense_range_are_unknown() {
+        let p = SimPlatform::quick(2, 0.9, 12);
+        let proj = p.create_project("exp").unwrap();
+        let t = p.publish_task(proj, label_spec(0, 1)).unwrap();
+        let next_task = t.id + 1;
+        for id in [0, next_task, u64::MAX] {
+            assert_eq!(p.task(id).unwrap_err(), Error::UnknownTask(id));
+            assert_eq!(p.fetch_runs_bulk(&[t.id, id]).unwrap_err(), Error::UnknownTask(id));
+            assert_eq!(p.are_complete(&[id, t.id]).unwrap(), vec![None, Some(false)]);
+        }
+        assert_eq!(p.project(0).unwrap_err(), Error::UnknownProject(0));
+        assert_eq!(p.project(proj + 1).unwrap_err(), Error::UnknownProject(proj + 1));
+    }
+
+    #[test]
+    fn task_returns_the_published_payload_exactly() {
+        let payloads = [
+            serde_json::json!({ "x": 0.1 * 3.0, "tiny": 5e-324, "big": 1.7976931348623157e308 }),
+            serde_json::json!({ "text": "naïve café — 東京 🚀", "esc": "a\"b\\c\n\u{1}" }),
+            serde_json::json!({ "nested": [[1, [2.5, []]], [{ "k": [null, true] }], -7] }),
+            serde_json::json!({}),
+            serde_json::json!([0.30000000000000004, "x", { "": {} }]),
+            AnswerModel::Fixed { value: serde_json::json!({ "w": 0.7 }) }
+                .embed(serde_json::json!({ "q": "ü", "n": -0.0 })),
+        ];
+        let p = SimPlatform::quick(2, 0.9, 13);
+        let proj = p.create_project("exp").unwrap();
+        let specs =
+            payloads.iter().map(|payload| TaskSpec { payload: payload.clone(), n_assignments: 2 });
+        let published = p.publish_tasks(proj, specs.collect()).unwrap();
+        let ids: Vec<TaskId> = published.iter().map(|t| t.id).collect();
+        for ((task, payload), &id) in published.iter().zip(&payloads).zip(&ids) {
+            assert_eq!(&task.payload, payload);
+            assert_eq!(p.task(id).unwrap(), *task, "before completion");
+        }
+        p.run_until_complete(&ids).unwrap();
+        for ((task, payload), &id) in published.iter().zip(&payloads).zip(&ids) {
+            let done = p.task(id).unwrap();
+            assert_eq!(done.status, TaskStatus::Completed);
+            // Same bytes, not only equal trees (`-0.0 == 0.0`).
+            let text = |v| serde_json::to_string(v).unwrap();
+            assert_eq!(text(&done.payload), text(payload));
+            assert_eq!(Task { status: TaskStatus::Open, ..done }, *task, "after completion");
+        }
+        // The echo answer decodes the stored text, too.
+        let echo = &p.fetch_runs(ids[3]).unwrap()[0].answer;
+        assert_eq!(echo, &serde_json::json!({ "echo": {} }));
+        let echo = &p.fetch_runs(ids[0]).unwrap()[0].answer;
+        assert_eq!(echo["echo"], payloads[0]);
+    }
+
+    #[test]
     fn api_calls_counted() {
         let p = SimPlatform::quick(2, 0.9, 11);
         let proj = p.create_project("exp").unwrap(); // 1
@@ -741,7 +793,7 @@ mod tests {
         // The queue itself never shrank — completion is O(1).
         assert_eq!(w.open.len(), 3);
         assert!(w.open.iter().all(Option::is_none));
-        assert!(w.tasks.values().all(|t| t.status == TaskStatus::Completed));
+        assert!(w.tasks.iter().all(TaskSlot::completed));
     }
 
     #[test]

@@ -173,6 +173,16 @@ impl<T: Serialize + DeserializeOwned> Table<T> {
         batch.delete(self.full_key(key));
     }
 
+    /// Stages the removal of every row whose key starts with `key_prefix`.
+    /// Rows are found by key alone and never decoded, so a damaged row is
+    /// removed like any other.
+    pub fn stage_remove_prefix(&self, batch: &mut Batch, key_prefix: &[u8]) -> Result<()> {
+        for (key, _) in self.backend.scan_prefix(&self.full_key(key_prefix))? {
+            batch.delete(key);
+        }
+        Ok(())
+    }
+
     /// The backend this table writes through (to apply staged batches).
     pub fn backend(&self) -> &Arc<dyn Backend> {
         &self.backend
