@@ -28,8 +28,23 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// This process's scratch directory, under the system temp dir.
+fn scratch_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("reprowd-exp14-{}", std::process::id()))
+}
+
+/// Removes the scratch directory when dropped: as `main` returns, and as a
+/// failed gate unwinds out of it.
+struct ScratchGuard;
+
+impl Drop for ScratchGuard {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(scratch_dir());
+    }
+}
+
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("reprowd-exp14-{}", std::process::id()));
+    let dir = scratch_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let p = dir.join(name);
     // Clear the whole database family (base + manifest + segments).
@@ -235,6 +250,7 @@ fn write_json(path: &str, mode: &str, reopen: &ReopenResult, stall: &StallResult
 }
 
 fn main() {
+    let _scratch = ScratchGuard;
     let smoke = std::env::var_os("REPROWD_E14_SMOKE").is_some();
     let (writes, keys, seg_bytes, stall_keys): (u64, u64, u64, u64) = if smoke {
         (100_000, 5_000, 256 << 10, 10_000)

@@ -6,7 +6,9 @@
 //! with `REPROWD_E16_PHASE` set), so each reports its own `VmHWM`: the
 //! fresh phase builds the database, the rerun phase reopens it and must
 //! reproduce the `mv` column with zero crowd calls. The parent records each
-//! phase's peak, the database bytes and the bytes per row.
+//! phase's peak, the database bytes and the bytes per row, and the wall
+//! time of each step of the loop (`steps_s`): opening the database, data
+//! with its presenter, publish, collect, and the majority vote.
 //!
 //! What it pins: each phase peaks under a per-row bound. A row holds its
 //! object as a tree once and its task cell as encoded bytes (the object
@@ -45,11 +47,16 @@ const ROWS_VAR: &str = "REPROWD_E16_ROWS";
 const FRESH_PEAK_PER_ROW: f64 = 6_390.0;
 const RERUN_PEAK_PER_ROW: f64 = 5_000.0;
 
+/// The steps a phase times, in the order they run.
+const STEPS: [&str; 5] = ["open", "data", "publish", "collect", "aggregate"];
+
 /// What one phase's child process reports.
 struct Phase {
     name: &'static str,
     peak_bytes: u64,
     wall_s: f64,
+    /// Wall seconds of each of [`STEPS`].
+    steps_s: [f64; STEPS.len()],
     api_calls: u64,
     mv_digest: String,
     accuracy: f64,
@@ -59,6 +66,13 @@ struct Phase {
 /// Runs the Figure 2 loop once over the database at `db` and prints what
 /// [`Phase`] needs on one line: the child side.
 fn run_phase(db: &Path, n: usize) {
+    // Each call records the wall time since the previous one: one step.
+    let mut steps_s = Vec::with_capacity(STEPS.len());
+    let mut lap = Instant::now();
+    let mut step = || {
+        steps_s.push(lap.elapsed().as_secs_f64());
+        lap = Instant::now();
+    };
     let platform = Arc::new(SimPlatform::quick(7, 0.9, 16));
     let store = DiskStore::open_with(db, SyncPolicy::Never, SegmentPolicy::default())
         .expect("open the E16 database");
@@ -68,23 +82,30 @@ fn run_phase(db: &Path, n: usize) {
         ExecutionConfig::default(),
     )
     .expect("E16 context");
-    let start = Instant::now();
+    step();
     let cd = cc
         .crowddata("e16")
         .and_then(|cd| cd.data(label_objects(n, 0.2)))
         .and_then(|cd| cd.presenter(Presenter::image_label("Is this a cat?", &["Yes", "No"])))
-        .and_then(|cd| cd.publish(3))
-        .and_then(|cd| cd.collect())
-        .and_then(|cd| cd.majority_vote())
-        .expect("Figure 2 loop");
-    let wall_s = start.elapsed().as_secs_f64();
+        .expect("data and presenter");
+    step();
+    let cd = cd.publish(3).expect("publish");
+    step();
+    let cd = cd.collect().expect("collect");
+    step();
+    let cd = cd.majority_vote().expect("majority vote");
+    step();
+    // The loop's wall time leaves the open out.
+    let wall_s: f64 = steps_s[1..].iter().sum();
     let mv = cd.column("mv").expect("mv column");
+    let steps: Vec<String> = steps_s.iter().map(f64::to_string).collect();
     println!(
-        "{} {wall_s} {} {} {}",
+        "{} {wall_s} {} {} {} {}",
         peak_rss_bytes(),
         platform.api_calls(),
         hex(hash_value(&Value::Array(mv.clone()))),
-        label_accuracy(&mv)
+        label_accuracy(&mv),
+        steps.join(" ")
     );
 }
 
@@ -115,13 +136,15 @@ fn spawn_phase(name: &'static str, db: &Path, n: usize) -> Phase {
     );
     let text = String::from_utf8(out.stdout).expect("phase output is UTF-8");
     let fields: Vec<&str> = text.lines().last().expect("phase printed a line").split(' ').collect();
-    let [peak, wall, calls, digest, accuracy] = fields[..] else {
+    let [peak, wall, calls, digest, accuracy, ref steps @ ..] = fields[..] else {
         panic!("E16 {name} phase printed {text:?}");
     };
+    let steps_s: Vec<f64> = steps.iter().map(|s| s.parse().expect("step seconds")).collect();
     Phase {
         name,
         peak_bytes: peak.parse().expect("peak bytes"),
         wall_s: wall.parse().expect("wall seconds"),
+        steps_s: steps_s.try_into().unwrap_or_else(|_| panic!("E16 {name} phase printed {text:?}")),
         api_calls: calls.parse().expect("api calls"),
         mv_digest: digest.to_string(),
         accuracy: accuracy.parse().expect("accuracy"),
@@ -147,16 +170,19 @@ fn write_json(path: &str, n: usize, phases: &[Phase]) {
     ));
     out.push_str("  \"phases\": [\n");
     for (i, p) in phases.iter().enumerate() {
+        let steps: Vec<String> =
+            STEPS.iter().zip(p.steps_s).map(|(step, s)| format!("\"{step}\": {s:.3}")).collect();
         out.push_str(&format!(
             "    {{\"phase\": \"{}\", \"peak_rss_mb\": {:.1}, \"peak_bytes_per_row\": {:.0}, \
              \"db_mb\": {:.1}, \"db_bytes_per_row\": {:.0}, \"wall_s\": {:.2}, \
-             \"api_calls\": {}, \"accuracy\": {:.4}}}{}\n",
+             \"steps_s\": {{{}}}, \"api_calls\": {}, \"accuracy\": {:.4}}}{}\n",
             p.name,
             p.peak_bytes as f64 / 1e6,
             p.peak_bytes as f64 / n as f64,
             p.db_bytes as f64 / 1e6,
             p.db_bytes as f64 / n as f64,
             p.wall_s,
+            steps.join(", "),
             p.api_calls,
             p.accuracy,
             if i + 1 < phases.len() { "," } else { "" }
@@ -212,6 +238,18 @@ fn main() {
         &["phase", "peak MB", "peak B/row", "db MB", "db B/row", "wall s", "api calls", "accuracy"],
         &rows,
     );
+    let mut header = vec!["phase"];
+    header.extend(STEPS.iter().map(|step| step.to_owned()));
+    let rows: Vec<Vec<String>> = phases
+        .iter()
+        .map(|p| {
+            let mut row = vec![p.name.to_string()];
+            row.extend(p.steps_s.iter().map(|s| format!("{s:.3}")));
+            row
+        })
+        .collect();
+    println!("\nwall seconds per step:");
+    table(&header, &rows);
 
     let [fresh, rerun] = &phases;
     assert!(fresh.api_calls > 0, "the fresh phase must crowdsource");

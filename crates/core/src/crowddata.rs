@@ -206,6 +206,12 @@ impl CrowdData {
     /// the same exposure the original system has against PyBossa, bounded
     /// by `batch_size × inflight_batches` rows; the stale tasks are simply
     /// never collected.)
+    ///
+    /// Cached task cells are read and their headers decoded on the
+    /// pipeline's workers too, one batch per job, before anything is
+    /// published: a fully cached rerun reads its cells on
+    /// `inflight_batches` threads. A cell that is not a task cell, or a
+    /// panic in the store's read, is an `Err`, and nothing is published.
     pub fn publish(mut self, n_assignments: u32) -> Result<Self> {
         if !self.data_set {
             return Err(Error::State("publish before data: call data(...) first".into()));
@@ -257,6 +263,10 @@ impl CrowdData {
     /// task when the platform no longer knows the recorded project under
     /// this experiment's name: a restarted platform may have given its id
     /// to another experiment.
+    ///
+    /// Cached result cells are read and decoded on the pipeline's workers,
+    /// one batch per job, before the first probe, as in
+    /// [`publish`](CrowdData::publish).
     pub fn collect(mut self) -> Result<Self> {
         let presenter = self
             .presenter

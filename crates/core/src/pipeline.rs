@@ -39,10 +39,13 @@
 //! task cells. The two execution paths are two schedules of these legs:
 //!
 //! * **Classic** ([`CrowdData::publish`](crate::CrowdData::publish) and
-//!   [`collect`](crate::CrowdData::collect)), phase at a time: `publish`
-//!   runs the publish leg over every chunk; `collect` runs the probe leg,
-//!   then the republish, then one wait for every pending task, then the
-//!   fetch leg — each leg a gated pass of its own, one slot per chunk.
+//!   [`collect`](crate::CrowdData::collect)), phase at a time, each phase
+//!   a pass of its own over every chunk: `publish` runs the cache leg,
+//!   then the publish leg over the misses; `collect` runs the cache leg,
+//!   the probe leg, the republish, one wait for every pending task, then
+//!   the fetch leg. The cache pass reads and decodes its cells on the
+//!   workers and makes no platform call; every other pass is gated, one
+//!   slot per chunk.
 //! * **Streamed** ([`run_stream`]), fused: each chunk runs every leg in one
 //!   job, in one fixed slot order — probe → publish → wait → fetch, four
 //!   slots per chunk. Candidates arrive as an **iterator**, so operators
@@ -311,7 +314,9 @@ impl<'a> Lifecycle<'a> {
     /// Cache leg: serves the wanted cells each lane still lacks from the
     /// store. A cached result serves the whole row, so when tasks are
     /// wanted too its task counts as reused without being read. A task
-    /// cell is kept as its bytes, with only its header decoded.
+    /// cell is kept as its bytes, with only its header decoded. It makes no
+    /// platform call, so it runs on a worker either as a pass of its own
+    /// (classic) or as the first leg of a chunk's job (streamed).
     fn read_cache(&self, lanes: &mut [Lane], want: Want) -> Result<()> {
         let store = self.cc.store();
         for lane in lanes {
@@ -514,7 +519,8 @@ impl<'a> Lifecycle<'a> {
     }
 
     /// One classic phase: `leg` over every chunk of `lanes`, one slot per
-    /// chunk. Returns the lanes in input order.
+    /// chunk (the cache leg leaves its slot untaken). Returns the lanes in
+    /// input order.
     fn pass(
         &self,
         lanes: Vec<Lane>,
@@ -535,17 +541,23 @@ impl<'a> Lifecycle<'a> {
         Ok(out)
     }
 
-    /// The classic publish schedule: a cache pass over `lanes`, then the
-    /// publish leg over the misses. Returns every lane, with its task.
+    /// The classic publish schedule: a cache pass over `lanes`, then a
+    /// publish pass over the misses. Returns every lane, with its task.
+    ///
+    /// The cache pass reads and decodes each chunk's task cells on a
+    /// worker, and its commit folds the cached lanes' reuse into `stats`,
+    /// chunk by chunk. It takes no gate slot, so the publish pass is
+    /// chunked, ordered and counted as if the cache had been read on the
+    /// calling thread; a fully cached rerun reads its cells on
+    /// `inflight_batches` threads and calls no platform at all.
     pub(crate) fn classic_publish(
         &self,
-        mut lanes: Vec<Lane>,
+        lanes: Vec<Lane>,
         stats: &mut RunStats,
     ) -> Result<Vec<Lane>> {
-        self.read_cache(&mut lanes, Want::Tasks)?;
+        let lanes = self.pass(lanes, |s, chunk, _, _| s.read_cache(chunk, Want::Tasks), stats)?;
         let (mut done, misses): (Vec<Lane>, Vec<Lane>) =
             lanes.into_iter().partition(|lane| lane.task.is_some());
-        self.commit(&mut done, stats)?;
         if misses.is_empty() {
             // Fully cached: zero platform traffic, the sharable guarantee.
             return Ok(done);
@@ -557,15 +569,17 @@ impl<'a> Lifecycle<'a> {
         Ok(done)
     }
 
-    /// The classic collect schedule: a cache pass over `lanes`, then the
-    /// probe leg, the republish of lost tasks, one wait for every pending
-    /// task, and the fetch leg. Returns every lane, with its result.
+    /// The classic collect schedule: a cache pass over `lanes` (result
+    /// cells read and decoded on the workers, as in
+    /// [`classic_publish`](Self::classic_publish)), then the probe pass,
+    /// the republish of lost tasks, one wait for every pending task, and
+    /// the fetch pass. Returns every lane, with its result.
     pub(crate) fn classic_collect(
         &self,
-        mut lanes: Vec<Lane>,
+        lanes: Vec<Lane>,
         stats: &mut RunStats,
     ) -> Result<Vec<Lane>> {
-        self.read_cache(&mut lanes, Want::Results)?;
+        let lanes = self.pass(lanes, |s, chunk, _, _| s.read_cache(chunk, Want::Results), stats)?;
         if let Some(lane) = lanes.iter().find(|lane| lane.result.is_none() && lane.task.is_none()) {
             return Err(Error::State(format!(
                 "collect before publish: row {} has no task",
@@ -574,7 +588,6 @@ impl<'a> Lifecycle<'a> {
         }
         let (mut done, unfinished): (Vec<Lane>, Vec<Lane>) =
             lanes.into_iter().partition(|lane| lane.result.is_some());
-        self.commit(&mut done, stats)?;
         // Republished tasks queue behind the ones the platform still had:
         // that order fixes the wait and the fetch chunks.
         let (lost, mut pending): (Vec<Lane>, Vec<Lane>) =
