@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use reprowd_datagen::{ErConfig, ErCorpus};
 use reprowd_simjoin::join::{brute_force_self_join, self_join, self_join_stream, JoinConfig};
-use reprowd_simjoin::similarity::{edit_distance, SetSimilarity};
+use reprowd_simjoin::similarity::SetSimilarity;
 
 fn corpus(n_entities: usize, seed: u64) -> Vec<String> {
     ErCorpus::generate(&ErConfig {
@@ -44,15 +44,6 @@ fn bench_simjoin(c: &mut Criterion) {
     let cfg03 = JoinConfig::new(SetSimilarity::Jaccard, 0.3);
     g.bench_function("stream_9k_theta03", |b| {
         b.iter(|| std::hint::black_box(self_join_stream(&crowder, &cfg03).count()));
-    });
-
-    g.bench_function("edit_distance_20x20", |b| {
-        b.iter(|| {
-            std::hint::black_box(edit_distance(
-                "golden dragon palace",
-                "goldn dragoon palaces",
-            ))
-        });
     });
 
     g.finish();

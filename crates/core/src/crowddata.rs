@@ -74,9 +74,9 @@ pub struct RunStats {
 impl RunStats {
     /// Folds another run's accounting into this one, field by field —
     /// every counter, including ones added later. Multi-round operators
-    /// (e.g. categorize's escalation round) use this instead of
-    /// hand-summing fields, which silently dropped any counter the sum
-    /// didn't know about.
+    /// (e.g. the transitive join, one stream per question) use this
+    /// instead of hand-summing fields, which silently dropped any counter
+    /// the sum didn't know about.
     pub fn merge(&mut self, other: RunStats) {
         let RunStats {
             tasks_published,
@@ -509,11 +509,6 @@ impl CrowdData {
             "n_assignments": self.manifest.n_assignments,
             "rows": rows,
         }))
-    }
-
-    /// The presenter, if step 2 has run.
-    pub fn current_presenter(&self) -> Option<&Presenter> {
-        self.presenter.as_ref()
     }
 
     /// The manifest as persisted.

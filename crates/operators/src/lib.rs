@@ -14,7 +14,6 @@
 //! claim about the abstraction:
 //!
 //! * [`label`] — crowd labeling (the Figure 2 workload as an operator).
-//! * [`filter`] — crowd selection predicate.
 //! * [`join::crowder`] — CrowdER (PVLDB 2012): machine similarity pass +
 //!   crowd verification of the grey zone.
 //! * [`join::transitive`] — transitivity-aware joins (SIGMOD 2013): deduce
@@ -22,10 +21,6 @@
 //!   fails.
 //! * [`sort`] — pairwise-comparison sort with Copeland aggregation.
 //! * [`max`] — tournament max / top-k.
-//! * [`count`] — sampling-based selectivity estimation.
-//! * [`categorize`] — multi-class categorization with confidence-gated
-//!   escalation (the paper's "more operators" future work).
-//! * [`rating`] — ordinal 1..=k rating with mean/median/trimmed reduction.
 //! * [`cluster`] — union-find clustering and pairwise precision/recall/F1.
 //!
 //! ## Simulation seam
@@ -36,25 +31,17 @@
 //! would perceive by looking at the task. Production use passes
 //! [`no_sim`].
 
-pub mod categorize;
 pub mod cluster;
-pub mod count;
-pub mod filter;
 pub mod join;
 pub mod label;
 pub mod max;
-pub mod rating;
 pub mod sort;
 
 pub use cluster::{clusters_from_pairs, pairwise_prf, UnionFind};
 
 /// The most commonly used operator items.
 pub mod prelude {
-    pub use crate::categorize::{crowd_categorize, CategorizeConfig, CategorizeResult};
     pub use crate::cluster::{clusters_from_pairs, pairwise_prf, UnionFind};
-    pub use crate::rating::{crowd_rate, RatingAggregation, RatingConfig, RatingResult};
-    pub use crate::count::{crowd_count, CrowdCountConfig, CrowdCountResult};
-    pub use crate::filter::{crowd_filter, CrowdFilterConfig, CrowdFilterResult};
     pub use crate::join::crowder::{crowder_join, CrowdErConfig, CrowdErResult};
     pub use crate::join::transitive::{transitive_join, TransitiveConfig, TransitiveResult};
     pub use crate::label::{crowd_label, CrowdLabelConfig, CrowdLabelResult};

@@ -49,13 +49,6 @@ impl DsModel {
     pub fn labels(&self, matrix: &VoteMatrix) -> Vec<Option<LabelId>> {
         argmax_labels(&self.posteriors, matrix)
     }
-
-    /// A worker's scalar accuracy under the fitted model: the prior-weighted
-    /// trace of their confusion matrix.
-    pub fn worker_accuracy(&self, worker: WorkerId) -> Option<f64> {
-        let c = self.confusion.get(&worker)?;
-        Some(self.priors.iter().enumerate().map(|(t, &p)| p * c[t][t]).sum())
-    }
 }
 
 /// Estimator entry point.

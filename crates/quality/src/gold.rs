@@ -2,7 +2,7 @@
 //!
 //! The oldest quality-control trick: seed the task stream with items whose
 //! answer is known ("gold" tasks), estimate each worker's accuracy from
-//! those, then weight — or reject — workers accordingly. Produces the
+//! those, then weight workers accordingly. Produces the
 //! weight maps consumed by [`weighted`](crate::weighted).
 
 use crate::truth::{LabelId, VoteMatrix, WorkerId};
@@ -68,19 +68,6 @@ impl GoldCalibration {
             })
             .collect()
     }
-
-    /// Workers whose estimated accuracy clears `threshold` — a
-    /// qualification filter.
-    pub fn qualified(&self, threshold: f64) -> Vec<WorkerId> {
-        let mut q: Vec<WorkerId> = self
-            .accuracy
-            .iter()
-            .filter(|&(_, &a)| a >= threshold)
-            .map(|(&w, _)| w)
-            .collect();
-        q.sort_unstable();
-        q
-    }
 }
 
 #[cfg(test)]
@@ -134,15 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn qualification_threshold() {
-        let (m, gold) = setup();
-        let cal = GoldCalibration::from_gold(&m, &gold, 0.5);
-        assert_eq!(cal.qualified(0.7), vec![1]);
-        assert_eq!(cal.qualified(0.0).len(), 3);
-        assert!(cal.qualified(1.1).is_empty());
-    }
-
-    #[test]
     fn worker_never_on_gold_is_absent() {
         let (mut m, gold) = setup();
         m.push_vote(5, 42, 1); // worker 42 only labels non-gold item 5
@@ -155,6 +133,5 @@ mod tests {
         let (m, _) = setup();
         let cal = GoldCalibration::from_gold(&m, &HashMap::new(), 1.0);
         assert!(cal.accuracy.is_empty());
-        assert!(cal.qualified(0.0).is_empty());
     }
 }

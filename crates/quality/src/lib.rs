@@ -12,8 +12,7 @@
 //! * [`weighted`] — weighted majority vote (weights from gold tasks or EM).
 //! * [`onecoin`] — one-coin EM: each worker has a single latent accuracy.
 //! * [`ds`] — full Dawid–Skene EM with per-worker confusion matrices.
-//! * [`gold`] — qualification against gold-standard tasks.
-//! * [`metrics`] — accuracy, precision/recall/F1, Cohen's κ.
+//! * [`gold`] — worker accuracy from gold-standard tasks.
 //!
 //! All aggregators consume a [`VoteMatrix`] — the bridge type the
 //! `CrowdData` `result` column is converted into — and are deterministic
@@ -23,7 +22,6 @@
 
 pub mod ds;
 pub mod gold;
-pub mod metrics;
 pub mod onecoin;
 pub mod truth;
 pub mod vote;
@@ -31,7 +29,6 @@ pub mod weighted;
 
 pub use ds::{DawidSkene, DsConfig, DsModel};
 pub use gold::GoldCalibration;
-pub use metrics::{accuracy, cohen_kappa, confusion_counts, f1_score, precision_recall};
 pub use onecoin::{OneCoin, OneCoinConfig, OneCoinModel};
 pub use truth::{LabelId, VoteMatrix, WorkerId};
 pub use vote::{majority_vote, majority_vote_matrix, TiePolicy};

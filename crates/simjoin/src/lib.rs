@@ -8,9 +8,8 @@
 //! pairs whose similarity clears a threshold, and only those survivors are
 //! sent to the crowd. This crate is that machine pass, built from scratch:
 //!
-//! * [`tokenize`] — normalization, word tokens, and q-grams.
-//! * [`similarity`] — Jaccard, Dice, cosine, overlap, and (banded)
-//!   Levenshtein edit distance / similarity.
+//! * [`tokenize`] — normalization and word tokens.
+//! * [`similarity`] — Jaccard, Dice, cosine, and overlap.
 //! * [`prefix`] — the filters: prefix filtering with a global
 //!   rare-token-first order, PPJoin's positional filter and suffix bound,
 //!   over one flat token arena and a per-length table of required overlaps.

@@ -1,4 +1,4 @@
-//! Similarity measures over token sets and raw strings.
+//! Similarity measures over token sets.
 //!
 //! All set measures take *sorted, deduplicated* slices (as produced by
 //! [`tokenize::word_set`](crate::tokenize::word_set)) so the intersection
@@ -104,87 +104,6 @@ pub fn intersection_size<T: Ord>(x: &[T], y: &[T]) -> usize {
     n
 }
 
-/// Levenshtein edit distance with the standard two-row DP.
-pub fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// Banded edit distance: returns `None` early if the distance exceeds
-/// `max_dist`, skipping most of the DP table. Used when verification only
-/// needs "within k edits or not".
-pub fn edit_distance_within(a: &str, b: &str, max_dist: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.len().abs_diff(b.len()) > max_dist {
-        return None;
-    }
-    if a.is_empty() {
-        return Some(b.len());
-    }
-    if b.is_empty() {
-        return Some(a.len());
-    }
-    const INF: usize = usize::MAX / 2;
-    let mut prev = vec![INF; b.len() + 1];
-    let mut cur = vec![INF; b.len() + 1];
-    for (j, slot) in prev.iter_mut().enumerate().take(max_dist.min(b.len()) + 1) {
-        *slot = j;
-    }
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = (i + 1).saturating_sub(max_dist).max(1);
-        let hi = (i + 1 + max_dist).min(b.len());
-        if lo > hi {
-            return None;
-        }
-        cur[lo - 1] = if i < max_dist { i + 1 } else { INF };
-        let mut row_min = cur[lo - 1];
-        for j in lo..=hi {
-            let cost = usize::from(ca != b[j - 1]);
-            let val = (prev[j - 1] + cost).min(prev[j] + 1).min(cur[j - 1] + 1);
-            cur[j] = val;
-            row_min = row_min.min(val);
-        }
-        if hi < b.len() {
-            cur[hi + 1..].fill(INF);
-        }
-        if row_min > max_dist {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        cur.fill(INF);
-    }
-    let d = prev[b.len()];
-    (d <= max_dist).then_some(d)
-}
-
-/// Normalized edit similarity: `1 - dist / max(|a|, |b|)` (1.0 for two
-/// empty strings).
-pub fn edit_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - edit_distance(a, b) as f64 / max_len as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,42 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn edit_distance_known_values() {
-        assert_eq!(edit_distance("kitten", "sitting"), 3);
-        assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(edit_distance("abc", ""), 3);
-        assert_eq!(edit_distance("same", "same"), 0);
-        assert_eq!(edit_distance("flaw", "lawn"), 2);
-    }
-
-    #[test]
-    fn banded_matches_full_when_within() {
-        let cases = [("kitten", "sitting"), ("abcdef", "azcdef"), ("", ""), ("a", "b")];
-        for (a, b) in cases {
-            let full = edit_distance(a, b);
-            assert_eq!(edit_distance_within(a, b, full), Some(full), "{a} vs {b}");
-            assert_eq!(edit_distance_within(a, b, full + 2), Some(full));
-            if full > 0 {
-                assert_eq!(edit_distance_within(a, b, full - 1), None);
-            }
-        }
-    }
-
-    #[test]
-    fn banded_early_exit_on_length_gap() {
-        assert_eq!(edit_distance_within("ab", "abcdefgh", 3), None);
-    }
-
-    #[test]
-    fn edit_similarity_range() {
-        assert_eq!(edit_similarity("", ""), 1.0);
-        assert_eq!(edit_similarity("abc", "abc"), 1.0);
-        assert_eq!(edit_similarity("abc", "xyz"), 0.0);
-        let s = edit_similarity("kitten", "sitting");
-        assert!(s > 0.0 && s < 1.0);
-    }
-
-    #[test]
     fn similarity_is_symmetric() {
         let x = s(&["a", "b", "c", "d"]);
         let y = s(&["c", "d", "e"]);
@@ -292,6 +175,5 @@ mod tests {
         ] {
             assert_eq!(m.compute(&x, &y), m.compute(&y, &x));
         }
-        assert_eq!(edit_distance("abc", "acbd"), edit_distance("acbd", "abc"));
     }
 }

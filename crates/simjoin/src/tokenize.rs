@@ -1,11 +1,9 @@
 //! Normalization and tokenization for set-based similarity.
 //!
 //! Entity-resolution records ("iPhone 6s, 64GB (Space Grey)") are noisy;
-//! similarity must be computed over a canonical token set. We lowercase,
-//! treat every non-alphanumeric rune as a separator, and offer both word
-//! tokens and character q-grams (q-grams are more robust to typos, words to
-//! re-orderings — CrowdER-style pipelines typically use words for products
-//! and q-grams for short strings).
+//! similarity must be computed over a canonical token set. We lowercase and
+//! treat every non-alphanumeric rune as a separator; the word set is what
+//! CrowdER's machine pass joins on (words are robust to re-orderings).
 
 /// Lowercases and splits on non-alphanumeric boundaries.
 pub fn words(s: &str) -> Vec<String> {
@@ -34,44 +32,6 @@ pub fn word_set(s: &str) -> Vec<String> {
     tokens
 }
 
-/// Character q-grams of the normalized string (whitespace collapsed to one
-/// `' '`). Strings shorter than `q` yield a single gram of the whole string.
-pub fn qgrams(s: &str, q: usize) -> Vec<String> {
-    assert!(q > 0, "q must be positive");
-    let normalized: Vec<char> = {
-        let mut out: Vec<char> = Vec::with_capacity(s.len());
-        let mut last_space = true; // also trims leading separators
-        for ch in s.chars() {
-            if ch.is_alphanumeric() {
-                out.extend(ch.to_lowercase());
-                last_space = false;
-            } else if !last_space {
-                out.push(' ');
-                last_space = true;
-            }
-        }
-        while out.last() == Some(&' ') {
-            out.pop();
-        }
-        out
-    };
-    if normalized.is_empty() {
-        return Vec::new();
-    }
-    if normalized.len() <= q {
-        return vec![normalized.into_iter().collect()];
-    }
-    (0..=normalized.len() - q).map(|i| normalized[i..i + q].iter().collect()).collect()
-}
-
-/// Sorted, deduplicated q-gram set.
-pub fn qgram_set(s: &str, q: usize) -> Vec<String> {
-    let mut grams = qgrams(s, q);
-    grams.sort_unstable();
-    grams.dedup();
-    grams
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,32 +52,5 @@ mod tests {
     #[test]
     fn word_set_sorted_dedup() {
         assert_eq!(word_set("b a b a c"), vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn qgrams_basic() {
-        assert_eq!(qgrams("abcd", 2), vec!["ab", "bc", "cd"]);
-        assert_eq!(qgrams("ab", 2), vec!["ab"]);
-        assert_eq!(qgrams("a", 3), vec!["a"]);
-        assert_eq!(qgrams("", 2), Vec::<String>::new());
-    }
-
-    #[test]
-    fn qgrams_collapse_separators() {
-        assert_eq!(qgrams("a  b", 3), vec!["a b"]);
-        assert_eq!(qgrams("A,B", 3), vec!["a b"]);
-        assert_eq!(qgrams("  x  ", 2), vec!["x"]);
-    }
-
-    #[test]
-    fn qgram_set_dedups() {
-        // "aaaa" has grams aa,aa,aa -> {aa}
-        assert_eq!(qgram_set("aaaa", 2), vec!["aa"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "q must be positive")]
-    fn qgrams_zero_q_panics() {
-        qgrams("abc", 0);
     }
 }

@@ -31,12 +31,6 @@ impl MemoryStore {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Copies the full contents out (test helper).
-    pub fn dump(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let inner = self.inner.lock();
-        inner.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-    }
 }
 
 impl Backend for MemoryStore {
@@ -141,7 +135,6 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.live_keys, 2);
         assert_eq!(stats.log_bytes, 0);
-        assert_eq!(s.dump().len(), 2);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! * [`core`] — the CrowdData abstraction, CrowdContext, lineage, presenters
 //!   (the paper's contribution).
-//! * [`operators`] — crowdsourced data processing operators (label, filter,
-//!   CrowdER join, transitive join, sort, max, count).
+//! * [`operators`] — crowdsourced data processing operators (label, CrowdER
+//!   join, transitive join, sort, max).
 //! * [`platform`] — the simulated crowdsourcing platform and worker models.
 //! * [`quality`] — quality control (majority vote, Dawid–Skene EM, …).
 //! * [`storage`] — the embedded crash-safe store behind fault recovery.
